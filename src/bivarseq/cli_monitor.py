@@ -246,24 +246,7 @@ def _cmd_power(args) -> dict:
     return {"power": value, "method": args.method}
 
 
-def _cmd_asn(args) -> dict:
-    design = _load_design(args.design)
-    params = _params_from_args(args)
-    if args.method == "exact":
-        value = exact_engine.asn_exact(design, params)
-    elif args.method == "dp":
-        pmf = exact_engine.lattice_forward_dp(design, params)
-        value = design.n_star - float(((design.n_star - pmf.support) * pmf.pmf).sum())
-    else:
-        pmf = asymptotic_engine.stopping_pmf_asymptotic(design, params)
-        value = design.n_star - float(((design.n_star - pmf.support) * pmf.pmf).sum())
-    lower, upper = exact_engine.asn_bounds(design, params)
-    return {"asn": value, "method": args.method, "lower": lower, "upper": upper}
-
-
-def _pmf_for(args):
-    design = _load_design(args.design)
-    params = _params_from_args(args)
+def _pmf_for(args, design: BivariateDesign, params: JointBernoulliParams):
     if args.method == "exact":
         return exact_engine.stopping_pmf_exact(design, params)
     if args.method == "dp":
@@ -271,8 +254,16 @@ def _pmf_for(args):
     return asymptotic_engine.stopping_pmf_asymptotic(design, params)
 
 
+def _cmd_asn(args) -> dict:
+    design = _load_design(args.design)
+    params = _params_from_args(args)
+    value, _ = _pmf_for(args, design, params).moments(design.n_star)
+    lower, upper = exact_engine.asn_bounds(design, params)
+    return {"asn": value, "method": args.method, "lower": lower, "upper": upper}
+
+
 def _cmd_pmf(args) -> dict:
-    pmf = _pmf_for(args)
+    pmf = _pmf_for(args, _load_design(args.design), _params_from_args(args))
     rows = [[int(m), float(px), float(py), float(pc)]
             for m, px, py, pc in zip(pmf.support, pmf.mass_x, pmf.mass_y,
                                      pmf.mass_corner)]
@@ -328,10 +319,9 @@ def _cmd_analyze(args) -> dict:
         counts = LatticeCounts(n00=n00, n10=n10, n01=n01, n11=n11)
     m_star = args.m_star if args.m_star is not None else counts.total
     est = inference.post_test_estimate(counts, m_star)
-    result = {"estimate": est.to_dict()}
+    result = {"estimate": est.to_dict(),
+              "region": inference.confidence_region(est, args.level).to_dict()}
     if not est.singular:
-        region = inference.confidence_region(est, args.level)
-        result["region"] = region.to_dict()
         result["relative_risk"] = inference.relative_risk(est, args.level).to_dict()
         result["inverse_relative_risk"] = \
             inference.inverse_relative_risk(est, args.level).to_dict()
@@ -343,9 +333,6 @@ def _cmd_analyze(args) -> dict:
                 writer.writerow(["theta_x", "theta_y"])
                 writer.writerows(pts.tolist())
             result["ellipse_file"] = args.ellipse_file
-    else:
-        region = inference.confidence_region(est, args.level)
-        result["region"] = region.to_dict()
     return result
 
 
@@ -366,7 +353,11 @@ def _cmd_monitor(args, out: TextIO) -> int:
             if not line:
                 continue
             doc = json.loads(line)
-            event = Event(seq=int(doc["seq"]), x=int(doc["x"]), y=int(doc["y"]))
+            try:
+                event = Event(seq=int(doc["seq"]), x=int(doc["x"]), y=int(doc["y"]))
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"malformed event {line!r} "
+                                 f"({type(exc).__name__}: {exc})") from None
             state, record = monitor_step(state, event)
             out.write(json.dumps(record) + "\n")
             if state.status != _OPEN:

@@ -115,11 +115,13 @@ class BivariateDesign:
     @classmethod
     def from_dict(cls, doc: dict) -> "BivariateDesign":
         fields = ("alpha_tilde", "beta", "theta0", "theta1", "n_star", "k_star")
-        margins = []
-        for side in ("x", "y"):
-            entry = doc[side]
-            margins.append(MarginalDesign(**{f: entry[f] for f in fields}))
-        return cls(x=margins[0], y=margins[1])
+        try:
+            x, y = (MarginalDesign(**{f: doc[side][f] for f in fields})
+                    for side in ("x", "y"))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed design document "
+                             f"({type(exc).__name__}: {exc})") from None
+        return cls(x=x, y=y)
 
 
 def critical_value_for_n(alpha_tilde: float, theta0: float, n: int,

@@ -2,17 +2,26 @@
 sequential test.
 
 The stopping time M is the first n at which either cumulative side-effect
-count exceeds its critical value; the test curtails at n_star.  P(M = m)
-decomposes by which boundary the final observation crosses:
+count S_x(n), S_y(n) exceeds its critical value; the test curtails at n_star.
+Neither count ever decreases, so {M > n} = {S_x(n) <= k_x, S_y(n) <= k_y}:
+the states still alive at n carry their unabsorbed bivariate-binomial mass.
+The final observation crosses the X boundary, the Y boundary or both at once
+(the corner), so P(M = m) needs only the boundary row of that law at
+nu = m - 1.  Given S_x(nu) = k_x, the both-effects count among those k_x is
+Bin(k_x, r) with r = p11/(p10+p11), and the Y-only count among the other
+nu - k_x is W ~ Bin(nu - k_x, q) with q = p01/(p00+p01), independently:
 
-* X boundary, final subject shows both effects / X only,
-* Y boundary, final subject shows both effects / Y only,
-* the corner, where one both-effects observation crosses X and Y at once,
+    A_x(c) = P(S_x(nu) = k_x, S_y(nu) <= c)
+           = Bin(nu, theta_x)(k_x) * sum_z Bin(k_x, r)(z) P(W <= c - z),
+    P(M = m, X only)  = p10 A_x(k_y) + p11 A_x(k_y - 1),
+    P(M = m, corner)  = p11 [A_x(k_y) - A_x(k_y - 1)],
 
-and each piece is a (negative-multinomial style) sum over the admissible
-terminal contingency tables.  All sums are evaluated in log space via a
-log-gamma table so that designs with n_star in the hundreds do not overflow,
-and accumulated with numpy's pairwise summation.
+and the Y boundary is the same computation with the margins swapped.  One
+pass advances the pmf of W, truncated at k_y, a step at a time, so the whole
+law costs O(n_star k).  The same pass gives E[S_y(M); M = m], which the
+estimator expectations need.  The curtailed part, P(M > n_star) and
+E[S; M > n_star], is one sum over (S_x, both-effects count) with binomial
+cdfs of W, so the power needs no per-m pass.
 
 A forward dynamic program over the "alive" lattice rectangle provides an
 independent route to the same distribution and is used as a cross-check
@@ -24,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import bdtr, gammaln, xlogy
 
 from .design import BivariateDesign
 from .params import JointBernoulliParams
@@ -102,166 +111,84 @@ class StoppingPmf:
     def total_mass(self) -> float:
         return self.rejection_mass + self.continue_mass
 
-
-class _LogTables:
-    """Shared log-gamma lookup and cell-probability logs for one evaluation."""
-
-    def __init__(self, n_star: int, params: JointBernoulliParams):
-        self.lg = gammaln(np.arange(n_star + 3, dtype=float))
-        p00, p10, p01, p11 = params.cell_probs
-        self.p = (p00, p10, p01, p11)
-
-    def xl(self, exponent, prob):
-        # 0 * log(0) = 0 so zero-probability cells contribute iff unused
-        return xlogy(exponent, prob)
+    def moments(self, n_star: int) -> tuple[float, float]:
+        """(E[min(M, n_star)], E[min(M, n_star)^2])."""
+        pmf = self.pmf
+        n2 = float(n_star) ** 2
+        mean = n_star - ((n_star - self.support) * pmf).sum()
+        second = n2 - ((n2 - self.support.astype(float) ** 2) * pmf).sum()
+        return float(mean), float(second)
 
 
-class _BoundaryFamily:
-    """Precomputed static pieces of the two double sums for one boundary.
+def _boundary_pass(n_star: int, k_hit: int, k_other: int,
+                   params: JointBernoulliParams) -> np.ndarray:
+    """Stopping masses across the boundary of the margin in the X places of
+    ``params``, with critical value k_hit; the other margin has k_other.
 
-    For the boundary with critical value k_hit, the other margin having
-    critical value k_other, the two sums share terminal exponents
-    (n_both = i, n_hit-only = k_hit+1-i, n_other-only = j, rest); they differ
-    only in which cell the final observation occupies (both vs hit-only),
-    hence in the multinomial coefficient over the first m-1 steps.
+    Row 0 is P(M = m, this boundary only), row 1 P(M = m, corner) and row 2
+    E[S_other(m); M = m, this boundary only], at column m - 1 for m = 1..n_star.
     """
-
-    def __init__(self, tables: _LogTables, n_star: int, k_hit: int, k_other: int,
-                 p_hit_only: float, p_other_only: float):
-        lg = tables.lg
-        p00, p11 = tables.p[0], tables.p[3]
-        k_low = min(k_hit, k_other)
-        j_hi = min(k_other, max(n_star - k_hit - 1, 0))
-        self.j = np.arange(0, j_hi + 1)
-        self.k_hit = k_hit
-        self.n_star = n_star
-
-        # final step in the both-effects cell: i >= 1
-        i_a = np.arange(1, min(k_hit + 1, k_other) + 1)
-        ia, ja = np.meshgrid(i_a, self.j, indexing="ij")
-        self.static_a = (
-            -lg[ia] - lg[k_hit + 2 - ia] - lg[ja + 1]
-            + tables.xl(ia, p11) + tables.xl(k_hit + 1 - ia, p_hit_only)
-            + tables.xl(ja, p_other_only)
-        )
-        self.ok_a = ja <= k_other - ia
-        self.sy_a = ia + ja  # other-margin terminal count
-
-        # final step in the hit-only cell: i can be 0
-        i_b = np.arange(0, k_low + 1)
-        ib, jb = np.meshgrid(i_b, self.j, indexing="ij")
-        self.static_b = (
-            -lg[ib + 1] - lg[k_hit + 1 - ib] - lg[jb + 1]
-            + tables.xl(ib, p11) + tables.xl(k_hit + 1 - ib, p_hit_only)
-            + tables.xl(jb, p_other_only)
-        )
-        self.ok_b = jb <= k_other - ib
-        self.sy_b = ib + jb
-
-        self.ja = ja
-        self.jb = jb
-        self.lg = lg
-        self.p00 = p00
-
-    def at(self, m: int):
-        """(mass, other-margin weighted mass) of P(M=m, this boundary hit)."""
-        j_free = m - self.k_hit - 1
-        if j_free < 0:
-            return 0.0, 0.0
-        mvec = self.lg[m] - self.lg[np.maximum(m - self.k_hit - self.j, 1)] \
-            + xlogy(np.maximum(m - self.k_hit - 1 - self.j, 0), self.p00)
-        mvec = np.where(self.j <= j_free, mvec, -np.inf)
-        with np.errstate(invalid="ignore"):
-            term_a = np.where(self.ok_a, np.exp(self.static_a + mvec[None, :]), 0.0)
-            term_b = np.where(self.ok_b, np.exp(self.static_b + mvec[None, :]), 0.0)
-        mass = term_a.sum() + term_b.sum()
-        weighted = (self.sy_a * term_a).sum() + (self.sy_b * term_b).sum()
-        return mass, weighted
-
-
-class _CornerFamily:
-    """Static pieces of the single corner sum (both boundaries at once)."""
-
-    def __init__(self, tables: _LogTables, k_x: int, k_y: int):
-        lg = tables.lg
-        p00, p10, p01, p11 = tables.p
-        self.i = np.arange(1, min(k_x, k_y) + 2)
-        self.static = (
-            -lg[self.i] - lg[k_x + 2 - self.i] - lg[k_y + 2 - self.i]
-            + tables.xl(self.i, p11) + tables.xl(k_x + 1 - self.i, p10)
-            + tables.xl(k_y + 1 - self.i, p01)
-        )
-        self.m_min = k_x + k_y + 2 - self.i
-        self.lg = lg
-        self.p00 = p00
-
-    def at(self, m: int) -> float:
-        rest = m - self.m_min
-        ok = rest >= 0
-        rest = np.maximum(rest, 0)
-        with np.errstate(invalid="ignore"):
-            term = np.where(
-                ok, np.exp(self.static + self.lg[m] - self.lg[rest + 1]
-                           + xlogy(rest, self.p00)), 0.0)
-        return float(term.sum())
-
-
-def _sweep(design: BivariateDesign, params: JointBernoulliParams):
-    """Per-m masses by boundary plus the S_M-weighted masses both margins
-    need for the stopped part of the estimator expectation."""
-    n_star, k_x, k_y = design.n_star, design.k_x, design.k_y
-    tables = _LogTables(n_star, params)
     p00, p10, p01, p11 = params.cell_probs
-    fam_x = _BoundaryFamily(tables, n_star, k_x, k_y, p10, p01)
-    fam_y = _BoundaryFamily(tables, n_star, k_y, k_x, p01, p10)
-    corner = _CornerFamily(tables, k_x, k_y)
+    theta, rest = p10 + p11, p00 + p01
+    # law of the both-effects count Z ~ Bin(k_hit, p11/theta) given S_hit = k_hit
+    z = np.arange(k_other + 1)
+    zc = np.minimum(z, k_hit)
+    g = np.where(z <= k_hit, np.exp(
+        gammaln(k_hit + 1.0) - gammaln(zc + 1.0) - gammaln(k_hit - zc + 1.0)
+        + xlogy(zc, p11 / theta) + xlogy(k_hit - zc, p10 / theta)), 0.0)
+    cg = np.cumsum(g)
+    # For the pmf f and cdf F of the other-only count W, V @ f is
+    # sum_z g(z) (F(k_other - z), f(k_other - z), E[z + W; W <= k_other - z])
+    V = np.ascontiguousarray(np.stack([cg, g, np.cumsum(z * g) + (k_other - z) * cg])[:, ::-1])
+    nu = np.arange(k_hit, n_star)
+    pref = np.exp(gammaln(nu + 1.0) - gammaln(k_hit + 1.0) - gammaln(nu - k_hit + 1.0)
+                  + xlogy(k_hit, theta) + xlogy(nu - k_hit, rest))
+    stay, step = p00 / rest, p01 / rest
+    f = np.zeros(k_other + 1)   # Bin(nu - k_hit, step) pmf, truncated at k_other
+    f[0] = 1.0
+    row = np.empty((len(nu), 3))
+    for i in range(len(nu)):
+        row[i] = V @ f
+        f[1:] = stay * f[1:] + step * f[:-1]
+        f[0] *= stay
+    # P(S_hit = k_hit, S_other <= k_other), the same with S_other = k_other,
+    # and E[S_other; S_hit = k_hit, S_other <= k_other], at nu
+    a, d, b = pref * row.T
+    out = np.zeros((3, n_star))
+    out[:, k_hit:] = (p10 * a + p11 * (a - d), p11 * d,
+                      p10 * b + p11 * (b - k_other * d + a - d))
+    return out
 
-    support = np.arange(design.k_lower + 1, n_star + 1)
-    mass_x = np.zeros(len(support))
-    mass_y = np.zeros(len(support))
-    mass_c = np.zeros(len(support))
-    wx = np.zeros(len(support))  # E[S^x_M ; M=m] summed over boundaries
-    wy = np.zeros(len(support))
-    for idx, m in enumerate(support):
-        mx, other_y = fam_x.at(m)
-        my, other_x = fam_y.at(m)
-        mc = corner.at(m)
-        mass_x[idx], mass_y[idx], mass_c[idx] = mx, my, mc
-        wx[idx] = (k_x + 1) * (mx + mc) + other_x
-        wy[idx] = (k_y + 1) * (my + mc) + other_y
-    return support, mass_x, mass_y, mass_c, wx, wy
+
+def _stopping_law(design: BivariateDesign, params: JointBernoulliParams):
+    """Support, per-m masses (X only, Y only, corner) and per-m
+    E[S_x(M); M = m], E[S_y(M); M = m]."""
+    n_star, k_x, k_y, low = design.n_star, design.k_x, design.k_y, design.k_lower
+    x_only, corner, sy_at_x = _boundary_pass(n_star, k_x, k_y, params)[:, low:]
+    y_only, _, sx_at_y = _boundary_pass(n_star, k_y, k_x, params.swapped())[:, low:]
+    return (np.arange(low + 1, n_star + 1), x_only, y_only, corner,
+            (k_x + 1) * (x_only + corner) + sx_at_y,
+            (k_y + 1) * (y_only + corner) + sy_at_x)
 
 
-def _curtailed_sums(design: BivariateDesign, params: JointBernoulliParams):
-    """(P(M > n_star), E[S^x ; M > n_star], E[S^y ; M > n_star]) at n_star.
+def _alive_at(n: int, k_x: int, k_y: int, params: JointBernoulliParams):
+    """(P(S_x(n) <= k_x, S_y(n) <= k_y), E[S_x(n); same event]).
 
-    Triple sum over terminal tables with z = both-effects count <= k_lower,
-    i = X-only <= k_x - z, j = Y-only <= k_y - z.
+    Sums, over S_x = a and the both-effects count z <= a, the multinomial
+    mass times the binomial cdf of the Y-only count among the n - a others.
     """
-    n_star, k_x, k_y = design.n_star, design.k_x, design.k_y
     p00, p10, p01, p11 = params.cell_probs
-    lg_n = gammaln(n_star + 1.0)
-    prob = 0.0
-    sum_x = 0.0
-    sum_y = 0.0
-    for z in range(design.k_lower + 1):
-        i = np.arange(0, k_x - z + 1)
-        j = np.arange(0, k_y - z + 1)
-        ii, jj = np.meshgrid(i, j, indexing="ij")
-        rest = n_star - z - ii - jj
-        la = (lg_n - gammaln(z + 1.0) - gammaln(ii + 1.0) - gammaln(jj + 1.0)
-              - gammaln(rest + 1.0)
-              + xlogy(z, p11) + xlogy(ii, p10) + xlogy(jj, p01) + xlogy(rest, p00))
-        term = np.exp(la)
-        prob += term.sum()
-        sum_x += ((z + ii) * term).sum()
-        sum_y += ((z + jj) * term).sum()
-    return prob, sum_x, sum_y
+    a, z = np.tril_indices(min(k_x, n) + 1, m=min(k_x, k_y) + 1)
+    h = np.exp(gammaln(n + 1.0) - gammaln(z + 1.0) - gammaln(a - z + 1.0)
+               - gammaln(n - a + 1.0) + xlogy(z, p11) + xlogy(a - z, p10)
+               + xlogy(n - a, p00 + p01))
+    prob = h * bdtr(np.minimum(k_y - z, n - a), n - a, p01 / (p00 + p01))
+    return float(prob.sum()), float((a * prob).sum())
 
 
 def non_rejection_prob(design: BivariateDesign, params: JointBernoulliParams) -> float:
     """P(both terminal counts stay at or below their critical values)."""
-    prob, _, _ = _curtailed_sums(design, params)
+    prob, _ = _alive_at(design.n_star, design.k_x, design.k_y, params)
     return min(prob, 1.0)
 
 
@@ -271,8 +198,8 @@ def power_exact(design: BivariateDesign, params: JointBernoulliParams) -> float:
 
 
 def stopping_pmf_exact(design: BivariateDesign, params: JointBernoulliParams) -> StoppingPmf:
-    """Full stopping-time distribution from the closed-form boundary sums."""
-    support, mass_x, mass_y, mass_c, _, _ = _sweep(design, params)
+    """Full stopping-time distribution from the conditional-binomial boundary law."""
+    support, mass_x, mass_y, mass_c, _, _ = _stopping_law(design, params)
     return StoppingPmf(
         support=support, mass_x=mass_x, mass_y=mass_y, mass_corner=mass_c,
         continue_mass=non_rejection_prob(design, params),
@@ -314,35 +241,14 @@ def lattice_forward_dp(design: BivariateDesign, params: JointBernoulliParams) ->
 def corner_mass_exact(design: BivariateDesign, params: JointBernoulliParams) -> float:
     """Total probability of stopping exactly at the corner, summed over m.
 
-    Evaluates only the corner family, so it stays cheap for designs far too
-    large for the full per-m sweep.
+    Runs only the X-boundary pass, half the work of the full law.
     """
-    n_star, k_x, k_y = design.n_star, design.k_x, design.k_y
-    p00, p10, p01, p11 = params.cell_probs
-    lg = gammaln(np.arange(n_star + 3, dtype=float))
-    i = np.arange(1, design.k_lower + 2)
-    static = (-lg[i] - lg[k_x + 2 - i] - lg[k_y + 2 - i]
-              + xlogy(i, p11) + xlogy(k_x + 1 - i, p10) + xlogy(k_y + 1 - i, p01))
-    m = np.arange(design.k_lower + 1, n_star + 1)
-    rest = m[:, None] - (k_x + k_y + 2 - i)[None, :]
-    ok = rest >= 0
-    rest = np.maximum(rest, 0)
-    with np.errstate(invalid="ignore"):
-        terms = np.where(
-            ok,
-            np.exp(static[None, :] + lg[m][:, None] - lg[rest + 1] + xlogy(rest, p00)),
-            0.0,
-        )
-    return float(terms.sum())
-
-
-def _asn_from_pmf(pmf: StoppingPmf, n_star: int) -> float:
-    return float(n_star - ((n_star - pmf.support) * pmf.pmf).sum())
+    return float(_boundary_pass(design.n_star, design.k_x, design.k_y, params)[1].sum())
 
 
 def asn_exact(design: BivariateDesign, params: JointBernoulliParams) -> float:
     """Expected terminal sample size E[min(M, n_star)]."""
-    return _asn_from_pmf(stopping_pmf_exact(design, params), design.n_star)
+    return stopping_pmf_exact(design, params).moments(design.n_star)[0]
 
 
 def _marginal_curtailed_asn(n_star: int, k: int, theta: float) -> float:
@@ -389,18 +295,12 @@ def asn_bounds(design: BivariateDesign, params: JointBernoulliParams) -> tuple[f
 
 def second_moment_exact(design: BivariateDesign, params: JointBernoulliParams) -> float:
     """E[min(M, n_star)^2]."""
-    pmf = stopping_pmf_exact(design, params)
-    n2 = float(design.n_star) ** 2
-    return float(n2 - ((n2 - pmf.support.astype(float) ** 2) * pmf.pmf).sum())
+    return stopping_pmf_exact(design, params).moments(design.n_star)[1]
 
 
 def variance_cv(design: BivariateDesign, params: JointBernoulliParams) -> tuple[float, float]:
     """(variance, coefficient of variation) of the terminal sample size."""
-    pmf = stopping_pmf_exact(design, params)
-    n_star = design.n_star
-    mean = _asn_from_pmf(pmf, n_star)
-    n2 = float(n_star) ** 2
-    second = n2 - ((n2 - pmf.support.astype(float) ** 2) * pmf.pmf).sum()
+    mean, second = stopping_pmf_exact(design, params).moments(design.n_star)
     var = second - mean * mean
     if var < -1e-9:
         raise ArithmeticError(f"negative variance {var}: inconsistent moments")
@@ -410,13 +310,14 @@ def variance_cv(design: BivariateDesign, params: JointBernoulliParams) -> tuple[
 
 def estimator_expectation_exact(design: BivariateDesign, params: JointBernoulliParams,
                                 margin: str) -> float:
-    """Exact E[theta_hat] for one margin: curtailed term plus the five-part
-    stopped sum, each terminal table weighted by its sample proportion."""
+    """Exact E[theta_hat] for one margin: the sum over m of E[S(M); M = m] / m
+    plus the curtailed part E[S(n_star); M > n_star] / n_star."""
     if margin not in ("x", "y"):
         raise ValueError("margin must be 'x' or 'y'")
-    support, _, _, _, wx, wy = _sweep(design, params)
-    weighted = wx if margin == "x" else wy
-    stopped = float((weighted / support).sum())
-    prob, sum_x, sum_y = _curtailed_sums(design, params)
-    curtailed = (sum_x if margin == "x" else sum_y) / design.n_star
-    return stopped + curtailed
+    support, _, _, _, wx, wy = _stopping_law(design, params)
+    stopped = float(((wx if margin == "x" else wy) / support).sum())
+    if margin == "x":
+        _, curtailed = _alive_at(design.n_star, design.k_x, design.k_y, params)
+    else:
+        _, curtailed = _alive_at(design.n_star, design.k_y, design.k_x, params.swapped())
+    return stopped + curtailed / design.n_star

@@ -15,7 +15,7 @@ interval with variance gamma((gamma+1)/ty - 2 p11/ty^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -194,14 +194,10 @@ def relative_risk(est: PostTestEstimate, level: float = 0.95) -> RelativeRiskEst
 
 
 def inverse_relative_risk(est: PostTestEstimate, level: float = 0.95) -> RelativeRiskEstimate:
-    """Estimated inverse relative risk theta_y/theta_x, same construction
-    with the margins exchanged."""
+    """Estimated inverse relative risk theta_y/theta_x: the relative risk of
+    the same estimate with the margins exchanged."""
     if est.theta_hat_x <= 0.0:
         raise ZeroDivisionError("inverse relative risk undefined: theta_hat_x = 0")
-    nu = est.theta_hat_y / est.theta_hat_x
-    thx = est.theta_hat_x
-    var = nu * ((nu + 1.0) / thx - 2.0 * est.p11_hat / (thx * thx))
-    z = norm_quantile((1.0 + level) / 2.0)
-    hw = z * math.sqrt(max(var, 0.0) / est.m_star)
-    return RelativeRiskEstimate(gamma_hat=nu, variance=var,
-                                ci=(nu - hw, nu + hw), level=level)
+    swapped = replace(est, theta_hat_x=est.theta_hat_y, theta_hat_y=est.theta_hat_x,
+                      sigma_hat=est.sigma_hat[::-1, ::-1])
+    return relative_risk(swapped, level)

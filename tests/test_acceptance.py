@@ -357,7 +357,7 @@ def test_criterion_10a_exact_bias_scan():
 
 # Signed exact relative bias of the X estimate, 100 (E[theta_hat_x] / theta_x - 1) %,
 # for each criterion 10b row at the theta_x values of _BIAS_GRID_10B; from
-# _exact_bias_rows_10b(), which takes about 4 minutes:
+# _exact_bias_rows_10b(), which takes about 1.5 s on a 2-vCPU machine:
 #   PYTHONPATH=src:tests python -c "import test_acceptance as t; print(t._exact_bias_rows_10b())"
 _BIAS_GRID_10B = np.arange(0.10, 0.2601, 0.04)
 _EXACT_BIAS_10B = {
@@ -394,7 +394,7 @@ def test_criterion_10b_monte_carlo_bias_rows():
     The reference is the exact bias of the same designs from
     estimator_expectation_exact, which criterion 5 checks against path
     enumeration and the lattice DP.  The 15 values are pinned in
-    _EXACT_BIAS_10B because computing them takes minutes; one is recomputed
+    _EXACT_BIAS_10B (recomputing them takes about 1.5 s); one is recomputed
     here.  Each Monte Carlo bias must lie within 4 of its standard errors of
     the exact bias, a family-wise bound over 15 correlated points (the
     largest |z| with this seed is 2.49), and so must each row's peak

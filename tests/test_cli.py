@@ -212,6 +212,23 @@ class TestExitCodes:
                           "--rho", "-0.1", "--method", "exact")
         assert code == 2
 
+    def test_design_missing_keys(self, tmp_path, capsys):
+        bad = tmp_path / "bad_design.json"
+        bad.write_text(json.dumps({"x": {}}))
+        code, _ = run_cli("power", "--design", str(bad),
+                          "--theta-x", "0.1", "--theta-y", "0.2")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_monitor_event_missing_keys(self, design_file, tmp_path, capsys):
+        events = tmp_path / "ev.jsonl"
+        events.write_text(json.dumps({"seq": 1}) + "\n")
+        code, _ = run_cli("monitor", "--design", design_file,
+                          "--state", str(tmp_path / "state.json"),
+                          "--input", str(events))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_design_file(self):
         code, _ = run_cli("power", "--design", "/nonexistent/d.json",
                           "--theta-x", "0.1", "--theta-y", "0.2")

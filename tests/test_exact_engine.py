@@ -1,9 +1,13 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from bivarseq import (
     asn_bounds,
     asn_exact,
+    condition_a_bounds,
     corner_mass_exact,
     estimator_expectation_exact,
     lattice_forward_dp,
@@ -100,6 +104,13 @@ class TestDpOracle:
         ((121, 19, 18), (0.05, 0.1, 0.1)),
         ((200, 30, 25), (0.12, 0.11, -0.05)),
         ((150, 20, 40), (0.15, 0.3, 0.35)),
+        ((310, 43, 40), (0.06, 0.12, 0.1)),
+        ((310, 43, 40), (0.12, 0.12, 0.5)),
+        # feasibility boundaries: p10 = 0, p01 = 0, p11 = 0
+        ((310, 43, 40), (0.05, 0.45, condition_a_bounds(0.05, 0.45)[1])),
+        ((121, 19, 18), (0.05, 0.45, condition_a_bounds(0.05, 0.45)[1])),
+        ((121, 19, 18), (0.2, 0.1, condition_a_bounds(0.2, 0.1)[1])),
+        ((200, 30, 25), (0.1, 0.2, condition_a_bounds(0.1, 0.2)[0])),
     ])
     def test_matches_closed_form(self, geom, point):
         design = make_design(*geom)
@@ -237,3 +248,13 @@ class TestEstimator:
     def test_margin_argument_validated(self, fig_design):
         with pytest.raises(ValueError):
             estimator_expectation_exact(fig_design, make_params(0.1, 0.2, 0.1), "z")
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    """scipy.stats costs most of a second to import; the package needs only
+    scipy.special."""
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bivarseq; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
