@@ -64,10 +64,12 @@ def gut_params(params: JointBernoulliParams, k: int, which: str) -> GutLaw:
 
     ``which`` selects the crossing margin ('x' or 'y'); the law's first
     coordinate is the count on the *other* margin at the crossing, the second
-    the crossing time itself.
+    the crossing time itself.  The Y law is the X law of the swapped margins.
     """
     if which not in ("x", "y"):
         raise ValueError("which must be 'x' or 'y'")
+    if which == "y":
+        params = params.swapped()
     tx, ty, p11 = params.theta_x, params.theta_y, params.p11
     # tx + ty - 2 p11 = 0 only at the perfect-overlap corner tx = ty = p11;
     # values below 1e-9 are float shadows of that corner and equally unusable
@@ -76,14 +78,9 @@ def gut_params(params: JointBernoulliParams, k: int, which: str) -> GutLaw:
             f"degenerate first-passage law: tx + ty - 2 p11 = "
             f"{tx + ty - 2 * p11:.3g} must be positive"
         )
-    if which == "x":
-        mean = np.array([ty / tx * (k + 1), (k + 1) / tx])
-        cov = (k + 1) / tx ** 2 * np.array(
-            [[ty * (tx + ty - 2 * p11), ty - p11], [ty - p11, 1 - tx]])
-    else:
-        mean = np.array([tx / ty * (k + 1), (k + 1) / ty])
-        cov = (k + 1) / ty ** 2 * np.array(
-            [[tx * (tx + ty - 2 * p11), tx - p11], [tx - p11, 1 - ty]])
+    mean = np.array([ty / tx * (k + 1), (k + 1) / tx])
+    cov = (k + 1) / tx ** 2 * np.array(
+        [[ty * (tx + ty - 2 * p11), ty - p11], [ty - p11, 1 - tx]])
     return GutLaw(which_boundary=which, mean=mean, cov=cov)
 
 
@@ -190,39 +187,24 @@ def estimator_expectation_asymptotic(design: BivariateDesign,
     non-rejection rectangle, divided by n_star.  Stopped terms: over the
     stopping-time grid, (k+1)/m weighted slab probabilities for the margin's
     own boundary, and slab-conditional count means divided by m for the other
-    boundary.
+    boundary.  Margin Y is margin X of the swapped margins.
     """
     if margin not in ("x", "y"):
         raise ValueError("margin must be 'x' or 'y'")
-    n_star, k_x, k_y = design.n_star, design.k_x, design.k_y
+    n_star, k_own, k_other = design.n_star, design.k_x, design.k_y
+    if margin == "y":
+        params, k_own, k_other = params.swapped(), k_other, k_own
     support = np.arange(design.k_lower + 1, n_star + 1).astype(float)
     edges = np.concatenate([[support[0] - 0.5], support + 0.5])
-    law1 = terminal_count_law(n_star, params)
-    law_x = gut_params(params, k_x, "x").normal
-    law_y = gut_params(params, k_y, "y").normal
-
-    if margin == "x":
-        own_law, own_k, other_law, other_cap = law_x, k_x, law_y, k_x + 0.5
-        own_cap = k_y + 0.5
-        curt_law = law1
-        curt_own_hi, curt_other_hi = k_x + 0.5, k_y + 0.5
-    else:
-        own_law, own_k, other_law, other_cap = law_y, k_y, law_x, k_y + 0.5
-        own_cap = k_x + 0.5
-        curt_law = _swap_law(law1)
-        curt_own_hi, curt_other_hi = k_y + 0.5, k_x + 0.5
+    own_law = gut_params(params, k_own, "x").normal
+    other_law = gut_params(params, k_other, "y").normal
 
     # curtailed: E[count ; count <= own cap, other count <= other cap] / n*
-    mean, s, r = _standardized(curt_law)
-    a = (curt_own_hi - mean[0]) / s[0]
-    b = (curt_other_hi - mean[1]) / s[1]
+    mean, s, r = _standardized(terminal_count_law(n_star, params))
+    a = (k_own + 0.5 - mean[0]) / s[0]
+    b = (k_other + 0.5 - mean[1]) / s[1]
     curt = (mean[0] * bvn_cdf(a, b, r) + s[0] * _ez_lower(a, b, r)) / n_star
 
-    own = ((own_k + 1) / support * _slab_probs(own_law, own_cap, edges)).sum()
-    other = (_slab_first_moment(other_law, other_cap, edges) / support).sum()
+    own = ((k_own + 1) / support * _slab_probs(own_law, k_other + 0.5, edges)).sum()
+    other = (_slab_first_moment(other_law, k_own + 0.5, edges) / support).sum()
     return float(curt + own + other)
-
-
-def _swap_law(law: BivariateNormalParams) -> BivariateNormalParams:
-    return BivariateNormalParams(mean=law.mean[::-1].copy(),
-                                 cov=law.cov[::-1, ::-1].copy())

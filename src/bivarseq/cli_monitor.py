@@ -5,10 +5,13 @@ The monitor wraps the sequential decision rule as an explicit state machine
 so that surveillance can stop, persist its state as versioned JSON (with an
 embedded design hash to prevent resuming under a different design), and pick
 up exactly where it left off.  Events arriving after closure are rejected,
-not ignored.
+not ignored.  The ``monitor`` command saves its state after every batch,
+also when a line fails, so the state file holds exactly the events whose
+decision records were written; it writes a temporary file and renames it over
+the old one.
 
-Exit codes: 0 success, 2 domain errors (infeasible parameters, bad inputs),
-3 I/O errors.
+Exit codes: 0 success, 2 domain errors (infeasible parameters, bad inputs,
+malformed JSON), 3 I/O errors.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, TextIO
@@ -34,7 +38,6 @@ __all__ = ["MonitorState", "monitor_step", "state_save", "state_load", "main"]
 
 _STATE_VERSION = 1
 _OPEN = "open"
-_CLOSED_BY_BOUNDARY = {"x": "rejected_x", "y": "rejected_y", "corner": "rejected_corner"}
 
 
 @dataclass(frozen=True)
@@ -80,18 +83,7 @@ def monitor_step(state: MonitorState, event: Event) -> tuple[MonitorState, dict]
         n11=c.n11 + event.x * event.y,
     )
     d = state.design
-    hit_x = counts.s_x > d.k_x
-    hit_y = counts.s_y > d.k_y
-    if hit_x or hit_y:
-        boundary = "corner" if (hit_x and hit_y) else ("x" if hit_x else "y")
-        status = _CLOSED_BY_BOUNDARY[boundary]
-        decision = "reject"
-    elif event.seq >= d.n_star:
-        status = "exhausted"
-        decision = "not_reject"
-    else:
-        status = _OPEN
-        decision = "continue"
+    status, decision = _status(d, counts, event.seq)
     new_state = MonitorState(design=d, counts=counts, last_seq=event.seq,
                              status=status)
     record = {
@@ -108,6 +100,15 @@ def monitor_step(state: MonitorState, event: Event) -> tuple[MonitorState, dict]
         record["m_star"] = event.seq
         record["estimate"] = inference.post_test_estimate(counts, event.seq).to_dict()
     return new_state, record
+
+
+def _status(design: BivariateDesign, counts: LatticeCounts,
+            n: int) -> tuple[str, str]:
+    """(monitor status, decision) of the stopping rule after n events."""
+    decision, boundary = design.decide(counts.s_x, counts.s_y, n)
+    if decision == "reject":
+        return f"rejected_{boundary}", decision
+    return ("exhausted" if decision == "not_reject" else _OPEN), decision
 
 
 def _design_hash(design: BivariateDesign) -> str:
@@ -158,13 +159,7 @@ def _validate_state(state: MonitorState) -> None:
         raise MonitorStateError("counts exceed a reachable boundary state")
     if state.last_seq > d.n_star:
         raise MonitorStateError("last_seq exceeds the curtailment size")
-    hit_x, hit_y = c.s_x > d.k_x, c.s_y > d.k_y
-    expected = _OPEN
-    if hit_x or hit_y:
-        expected = _CLOSED_BY_BOUNDARY["corner" if (hit_x and hit_y)
-                                       else ("x" if hit_x else "y")]
-    elif state.last_seq >= d.n_star:
-        expected = "exhausted"
+    expected, _ = _status(d, c, state.last_seq)
     if state.status != expected:
         raise MonitorStateError(
             f"status {state.status!r} inconsistent with counts "
@@ -296,7 +291,6 @@ def _cmd_simulate(args) -> dict:
     summary = monte_carlo(design, params, reps=args.reps, seed=args.seed,
                           level=args.level, workers=args.workers)
     if args.emit_streams:
-        import os
         os.makedirs(args.emit_streams, exist_ok=True)
         for r in range(min(args.reps, args.max_stream_files)):
             events = list(sample_stream(params, args.seed, design.n_star, stream=r))
@@ -358,15 +352,18 @@ def _cmd_monitor(args, out: TextIO) -> int:
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"malformed event {line!r} "
                                  f"({type(exc).__name__}: {exc})") from None
-            state, record = monitor_step(state, event)
+            new_state, record = monitor_step(state, event)
             out.write(json.dumps(record) + "\n")
+            state = new_state
             if state.status != _OPEN:
                 break
     finally:
         if args.input:
             source.close()
-    with open(args.state, "w") as fh:
-        json.dump(state_save(state), fh, indent=2)
+        tmp = args.state + ".tmp"
+        with open(tmp, "w") as fh:
+            json.dump(state_save(state), fh, indent=2)
+        os.replace(tmp, args.state)
     return 0
 
 
@@ -394,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-refine", action="store_true",
                    help="refine (N, k) against the exact binomial constraints")
 
-    def add_param_args(q, method_choices):
+    def add_param_args(q):
         q.add_argument("--design", required=True, help="design JSON file")
         q.add_argument("--theta-x", type=float, default=None)
         q.add_argument("--theta-y", type=float, default=None)
@@ -402,16 +399,19 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--params", default=None,
                        help="flat JSON file {theta_x, theta_y, rho}; "
                             "alternative to the three flags")
-        q.add_argument("--method", choices=method_choices, default="exact")
 
     p = sub.add_parser("power", help="rejection probability at given margins")
-    add_param_args(p, ("exact", "asymptotic", "gut", "dp"))
+    add_param_args(p)
+    p.add_argument("--method", choices=("exact", "asymptotic", "gut", "dp"),
+                   default="exact")
 
     p = sub.add_parser("asn", help="expected terminal sample size and bounds")
-    add_param_args(p, ("exact", "asymptotic", "dp"))
+    add_param_args(p)
+    p.add_argument("--method", choices=("exact", "asymptotic", "dp"), default="exact")
 
     p = sub.add_parser("pmf", help="stopping-time distribution by boundary")
-    add_param_args(p, ("exact", "asymptotic", "dp"))
+    add_param_args(p)
+    p.add_argument("--method", choices=("exact", "asymptotic", "dp"), default="exact")
 
     p = sub.add_parser("export-grid", help="power surface over a margin grid")
     p.add_argument("--design", required=True)
@@ -424,12 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("exact", "asymptotic"), default="exact")
 
     p = sub.add_parser("simulate", help="Monte Carlo operating characteristics")
-    p.add_argument("--design", required=True)
-    p.add_argument("--theta-x", type=float, default=None)
-    p.add_argument("--theta-y", type=float, default=None)
-    p.add_argument("--rho", type=float, default=0.0)
-    p.add_argument("--params", default=None,
-                   help="flat JSON file {theta_x, theta_y, rho}")
+    add_param_args(p)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--level", type=float, default=0.95)
@@ -481,7 +476,7 @@ def main(argv: Optional[list[str]] = None, out: TextIO = None) -> int:
         if not args.quiet:
             print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         if not args.quiet:
             print(f"i/o error: {exc}", file=sys.stderr)
         return 3

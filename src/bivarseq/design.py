@@ -104,6 +104,24 @@ class BivariateDesign:
     def k_y(self) -> int:
         return self.y.k_star
 
+    def decide(self, s_x: int, s_y: int, n: int) -> tuple[str, str]:
+        """The stopping rule after n observations with side-effect counts
+        (s_x, s_y): ``(decision, boundary)``.
+
+        A count above its critical value rejects at boundary ``"x"`` or
+        ``"y"``, or ``"corner"`` when both pass on the same observation; a
+        crossing at n = n_star still rejects.  Otherwise the test curtails
+        (``"not_reject"``) once n reaches n_star and continues before that,
+        both with boundary ``"none"``.
+        """
+        hit_x = s_x > self.x.k_star
+        hit_y = s_y > self.y.k_star
+        if hit_x or hit_y:
+            return "reject", ("corner" if hit_x and hit_y else "x" if hit_x else "y")
+        if n >= self.n_star:
+            return "not_reject", "none"
+        return "continue", "none"
+
     def to_dict(self) -> dict:
         return {
             "x": asdict(self.x),

@@ -267,11 +267,13 @@ def _independence_asn(design: BivariateDesign, params: JointBernoulliParams) -> 
     else:
         lead, k_in, k_out, t_in, t_out = (
             _marginal_curtailed_asn(n_star, k_y, ty), k_x, k_y, tx, ty)
-    mid = sum(reg_inc_beta(t_in, k_in + 1, i - k_in)
-              for i in range(k_in + 1, k_out + 1))
-    tail = sum(reg_inc_beta(t_in, k_in + 1, i - k_in)
-               * reg_inc_beta(1.0 - t_out, i - k_out, k_out + 1)
-               for i in range(k_out + 1, n_star))
+    i = np.arange(k_in + 1, n_star)
+    f = reg_inc_beta(t_in, k_in + 1, i - k_in)
+    g = reg_inc_beta(1.0 - t_out, np.maximum(i - k_out, 1), k_out + 1)
+    split = k_out - k_in
+    # Python's sum over lists keeps the left-to-right order of a scalar loop
+    mid = sum(f[:split].tolist())
+    tail = sum((f[split:] * g[split:]).tolist())
     return lead - mid - tail
 
 

@@ -68,8 +68,8 @@ def _master_word(seed: int) -> np.uint64:
     return np.random.SeedSequence(seed).generate_state(1, dtype=np.uint64)[0]
 
 
-def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
-    key = np.array([_master_word(seed), np.uint64(replicate)], dtype=np.uint64)
+def _replicate_rng(master: np.uint64, replicate: int) -> np.random.Generator:
+    key = np.array([master, np.uint64(replicate)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -78,33 +78,29 @@ def _cell_thresholds(params: JointBernoulliParams) -> tuple[float, float, float]
     return p00, p00 + p10, p00 + p10 + p01
 
 
+def _cells(u: np.ndarray, thresholds: tuple[float, float, float]):
+    """(x, y) indicator arrays of the cells the uniforms u fall in."""
+    t0, t1, t2 = thresholds
+    return ((u >= t0) & (u < t1)) | (u >= t2), u >= t1
+
+
 def sample_stream(params: JointBernoulliParams, seed: int, max_n: int,
                   stream: int = 0) -> Iterator[Event]:
     """Yield max_n i.i.d. events; deterministic for fixed (seed, stream)."""
-    rng = _replicate_rng(seed, stream)
-    t0, t1, t2 = _cell_thresholds(params)
-    for i in range(max_n):
-        u = rng.random()
-        if u < t0:
-            x = y = 0
-        elif u < t1:
-            x, y = 1, 0
-        elif u < t2:
-            x, y = 0, 1
-        else:
-            x = y = 1
-        yield Event(seq=i + 1, x=x, y=y)
+    u = _replicate_rng(_master_word(seed), stream).random(max_n)
+    x, y = _cells(u, _cell_thresholds(params))
+    for i, (xi, yi) in enumerate(zip(x.tolist(), y.tolist())):
+        yield Event(seq=i + 1, x=int(xi), y=int(yi))
 
 
 def run_test(design: BivariateDesign, stream: Iterable[Event]) -> TestOutcome:
-    """Consume events until a boundary is crossed or n_star is reached.
+    """Consume events until :meth:`BivariateDesign.decide` stops the test.
 
     Raises :class:`StreamExhaustedError` if the stream ends first, and
     :class:`SequencingError` for non-increasing sequence numbers.
     """
     k_x, k_y, n_star = design.k_x, design.k_y, design.n_star
-    s_x = s_y = n11 = n10 = n01 = 0
-    consumed = 0
+    s_x = s_y = n11 = consumed = 0
     last_seq = None
     for event in stream:
         if last_seq is not None and event.seq <= last_seq:
@@ -114,25 +110,14 @@ def run_test(design: BivariateDesign, stream: Iterable[Event]) -> TestOutcome:
         consumed += 1
         s_x += event.x
         s_y += event.y
-        if event.x and event.y:
-            n11 += 1
-        elif event.x:
-            n10 += 1
-        elif event.y:
-            n01 += 1
-        hit_x = s_x > k_x
-        hit_y = s_y > k_y
-        if hit_x or hit_y:
-            boundary = "corner" if (hit_x and hit_y) else ("x" if hit_x else "y")
-            counts = LatticeCounts(n00=consumed - n11 - n10 - n01,
-                                   n10=n10, n01=n01, n11=n11)
-            return TestOutcome(decision="reject", m_star=consumed,
+        n11 += event.x & event.y
+        # a per-event decide() call would triple the loop's cost; call it once
+        if s_x > k_x or s_y > k_y or consumed == n_star:
+            decision, boundary = design.decide(s_x, s_y, consumed)
+            counts = LatticeCounts(n00=consumed - s_x - s_y + n11, n10=s_x - n11,
+                                   n01=s_y - n11, n11=n11)
+            return TestOutcome(decision=decision, m_star=consumed,
                                boundary=boundary, counts=counts)
-        if consumed == n_star:
-            counts = LatticeCounts(n00=consumed - n11 - n10 - n01,
-                                   n10=n10, n01=n01, n11=n11)
-            return TestOutcome(decision="not_reject", m_star=consumed,
-                               boundary="none", counts=counts)
     raise StreamExhaustedError(consumed)
 
 
@@ -140,26 +125,16 @@ def _outcome_from_uniforms(design: BivariateDesign,
                            thresholds: tuple[float, float, float],
                            u: np.ndarray):
     """Vectorized replicate: (m_star, boundary code, n00, n10, n01, n11)."""
-    t0, t1, t2 = thresholds
-    x = ((u >= t0) & (u < t1)) | (u >= t2)
-    y = u >= t1
+    x, y = _cells(u, thresholds)
     s_x = np.cumsum(x)
     s_y = np.cumsum(y)
     crossed = (s_x > design.k_x) | (s_y > design.k_y)
     idx = int(np.argmax(crossed))
-    if crossed[idx]:
-        m = idx + 1
-        hit_x = s_x[idx] > design.k_x
-        hit_y = s_y[idx] > design.k_y
-        code = 3 if (hit_x and hit_y) else (1 if hit_x else 2)
-    else:
-        m = design.n_star
-        code = 0
-    n11 = int(np.count_nonzero(x[:m] & y[:m]))
+    m = idx + 1 if crossed[idx] else design.n_star
     sx_m, sy_m = int(s_x[m - 1]), int(s_y[m - 1])
-    n10 = sx_m - n11
-    n01 = sy_m - n11
-    return m, code, m - n11 - n10 - n01, n10, n01, n11
+    code = _BOUNDARIES.index(design.decide(sx_m, sy_m, m)[1])
+    n11 = int(np.count_nonzero(x[:m] & y[:m]))
+    return m, code, m - sx_m - sy_m + n11, sx_m - n11, sy_m - n11, n11
 
 
 @dataclass(frozen=True)
@@ -211,9 +186,7 @@ def monte_carlo(design: BivariateDesign, params: JointBernoulliParams,
 
     def fill(lo: int, hi: int):
         for r in range(lo, hi):
-            key = np.array([master, np.uint64(r)], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key))
-            u = rng.random(n_star)
+            u = _replicate_rng(master, r).random(n_star)
             m, c, n00, n10, n01, n11 = _outcome_from_uniforms(design, thresholds, u)
             m_star[r] = m
             code[r] = c

@@ -192,6 +192,23 @@ class TestMonitorCommand:
         saved = json.loads(state.read_text())
         assert saved["status"] == "rejected_y"
 
+    def test_monitor_saves_state_of_failing_batch(self, design_file, tmp_path):
+        state = tmp_path / "state.json"
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text("".join(json.dumps({"seq": s, "x": 0, "y": 0}) + "\n"
+                                 for s in (1, 2, 2)))
+        code, out = run_cli("monitor", "--design", design_file,
+                            "--state", str(state), "--input", str(batch))
+        assert code == 2
+        assert [json.loads(line)["seq"] for line in out.splitlines()] == [1, 2]
+        assert json.loads(state.read_text())["last_seq"] == 2
+        batch.write_text(json.dumps({"seq": 3, "x": 1, "y": 0}) + "\n")
+        code, out = run_cli("monitor", "--design", design_file,
+                            "--state", str(state), "--input", str(batch))
+        assert code == 0
+        record = json.loads(out)
+        assert (record["seq"], record["s_x"], record["decision"]) == (3, 1, "continue")
+
     def test_monitor_rejects_wrong_design(self, design_file, tmp_path):
         state = tmp_path / "state.json"
         events = tmp_path / "ev.jsonl"
@@ -228,6 +245,17 @@ class TestExitCodes:
                           "--input", str(events))
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_monitor_malformed_json_line(self, design_file, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        events = tmp_path / "ev.jsonl"
+        events.write_text(json.dumps({"seq": 1, "x": 0, "y": 1}) + "\nnot json\n")
+        code, out = run_cli("monitor", "--design", design_file,
+                            "--state", str(state), "--input", str(events))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert len(out.splitlines()) == 1
+        assert json.loads(state.read_text())["last_seq"] == 1
 
     def test_missing_design_file(self):
         code, _ = run_cli("power", "--design", "/nonexistent/d.json",

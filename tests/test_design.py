@@ -12,6 +12,7 @@ from bivarseq import (
     power_exact,
 )
 from bivarseq.design import binom_cdf, binom_sf
+from conftest import make_design
 
 
 class TestDesignMarginal:
@@ -93,6 +94,22 @@ class TestCombine:
         d = combine(MarginalDesign(0.025, 0.1, 0.05, 0.1, 263, 19),
                     MarginalDesign(0.025, 0.1, 0.1, 0.2, 121, 18))
         assert BivariateDesign.from_dict(d.to_dict()) == d
+
+
+class TestDecide:
+    @pytest.mark.parametrize("s_x, s_y, n, expected", [
+        (3, 5, 8, ("continue", "none")),       # both counts at (k_x, k_y)
+        (0, 0, 1, ("continue", "none")),
+        (4, 5, 8, ("reject", "x")),
+        (3, 6, 8, ("reject", "y")),
+        (4, 6, 8, ("reject", "corner")),
+        (3, 5, 10, ("not_reject", "none")),    # curtailed at n = n_star
+        (4, 0, 10, ("reject", "x")),           # a crossing at n_star rejects
+        (0, 6, 10, ("reject", "y")),
+        (4, 6, 10, ("reject", "corner")),
+    ])
+    def test_rule(self, s_x, s_y, n, expected):
+        assert make_design(10, 3, 5).decide(s_x, s_y, n) == expected
 
 
 class TestAttainedErrors:

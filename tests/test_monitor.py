@@ -150,6 +150,18 @@ class TestSaveLoad:
         with pytest.raises(MonitorStateError):
             state_load(doc)
 
+    @pytest.mark.parametrize("counts, last_seq, status", [
+        ({"n00": 0, "n10": 3, "n01": 0, "n11": 0}, 3, "open"),        # crossed x
+        ({"n00": 0, "n10": 0, "n01": 0, "n11": 3}, 3, "rejected_x"),  # corner
+        ({"n00": 10, "n10": 0, "n01": 0, "n11": 0}, 10, "open"),      # at n_star
+    ])
+    def test_status_inconsistent_with_counts_rejected(self, counts, last_seq,
+                                                      status):
+        doc = state_save(MonitorState.fresh(make_design(10, 2, 2)))
+        doc.update(counts=counts, last_seq=last_seq, status=status)
+        with pytest.raises(MonitorStateError, match="inconsistent"):
+            state_load(doc)
+
     def test_corrupt_document_rejected(self):
         with pytest.raises(MonitorStateError):
             state_load({"version": 1})

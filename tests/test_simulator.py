@@ -110,6 +110,18 @@ class TestSampleStream:
         c = list(sample_stream(params, 43, 500))
         assert a != c
 
+    def test_first_cells_pinned(self):
+        """The first 40 cells at seed 5, as drawn one uniform per event."""
+        expected = [
+            (0, 0), (0, 0), (0, 0), (0, 0), (0, 1), (0, 1), (0, 0), (0, 0),
+            (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0),
+            (1, 0), (1, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0),
+            (0, 1), (1, 1), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0),
+            (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0),
+        ]
+        events = sample_stream(make_params(0.15, 0.3, 0.25), 5, 40)
+        assert [(ev.x, ev.y) for ev in events] == expected
+
     def test_streams_differ_by_index(self):
         params = make_params(0.2, 0.3, 0.2)
         a = list(sample_stream(params, 42, 200, stream=0))
@@ -143,13 +155,21 @@ class TestMonteCarlo:
         summary = monte_carlo(fig_design, params, reps=reps, seed=seed)
         m_sum = 0
         rejected = 0
+        th_x_sum = 0.0
+        boundaries = {"none": 0, "x": 0, "y": 0, "corner": 0}
         for r in range(reps):
             events = sample_stream(params, seed, fig_design.n_star, stream=r)
             outcome = run_test(fig_design, events)
             m_sum += outcome.m_star
             rejected += outcome.decision == "reject"
+            th_x_sum += outcome.counts.s_x / outcome.m_star
+            boundaries[outcome.boundary] += 1
         assert summary.asn == pytest.approx(m_sum / reps, abs=1e-12)
         assert summary.power == pytest.approx(rejected / reps, abs=1e-12)
+        assert summary.bias_x == pytest.approx(th_x_sum / reps - params.theta_x,
+                                               abs=1e-12)
+        assert summary.boundary_split == pytest.approx(
+            {name: n / reps for name, n in boundaries.items()}, abs=1e-12)
 
     def test_converges_to_exact_power(self, fig_design):
         params = make_params(0.1, 0.2, 0.1)
