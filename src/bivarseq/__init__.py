@@ -65,7 +65,15 @@ from .inference import (
     post_test_estimate,
     relative_risk,
 )
-from .simulator import Event, MonteCarloSummary, TestOutcome, monte_carlo, run_test, sample_stream
+from .simulator import (
+    Event,
+    MonteCarloSummary,
+    TestOutcome,
+    monte_carlo,
+    replicate_outcomes,
+    run_test,
+    sample_stream,
+)
 from .cli_monitor import MonitorState, monitor_step, state_load, state_save
 
 __version__ = "0.1.0"

@@ -289,7 +289,7 @@ def _cmd_simulate(args) -> dict:
     design = _load_design(args.design)
     params = _params_from_args(args)
     summary = monte_carlo(design, params, reps=args.reps, seed=args.seed,
-                          level=args.level, workers=args.workers)
+                          level=args.level)
     if args.emit_streams:
         os.makedirs(args.emit_streams, exist_ok=True)
         for r in range(min(args.reps, args.max_stream_files)):
@@ -428,7 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--emit-streams", default=None,
                    help="directory for raw JSONL event streams")
     p.add_argument("--max-stream-files", type=int, default=100)

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import bivarseq as bq
-from bivarseq.simulator import _cell_thresholds, _outcome_from_uniforms
 from conftest import TINY_DESIGNS, make_design
 from oracles import enumerate_paths
 from test_asymptotic_engine import delta_design
@@ -247,16 +246,10 @@ def test_criterion_08_asymptotics():
     # limit matrix, margins normal within KS distance 0.02, 1e5 replicates
     reps = 100_000
     tx, ty = params_01.theta_x, params_01.theta_y
-    thresholds = _cell_thresholds(params_01)
-    master = np.random.SeedSequence(424242).generate_state(1, dtype=np.uint64)[0]
-    u_stats = np.empty((reps, 2))
-    for r in range(reps):
-        key = np.array([master, np.uint64(r)], dtype=np.uint64)
-        rng = np.random.Generator(np.random.Philox(key=key))
-        m, _, n00, n10, n01, n11 = _outcome_from_uniforms(
-            design_01, thresholds, rng.random(design_01.n_star))
-        root = math.sqrt(m)
-        u_stats[r] = (root * ((n10 + n11) / m - tx), root * ((n01 + n11) / m - ty))
+    m, _, table = bq.replicate_outcomes(design_01, params_01, reps, 424242)
+    root = np.sqrt(m)
+    u_stats = np.column_stack((root * ((table[:, 1] + table[:, 3]) / m - tx),
+                               root * ((table[:, 2] + table[:, 3]) / m - ty)))
     sigma = np.array([
         [tx * (1 - tx), params_01.p11 - tx * ty],
         [params_01.p11 - tx * ty, ty * (1 - ty)],
@@ -329,10 +322,9 @@ def test_criterion_09_property_suites(fig_design):
             break
     assert state.last_seq == outcome.m_star
     assert state.counts == outcome.counts
-    # Monte Carlo summaries independent of parallelism
+    # Monte Carlo summaries independent of chunking
     base = bq.monte_carlo(fig_design, params, reps=1500, seed=6)
-    par = bq.monte_carlo(fig_design, params, reps=1500, seed=6,
-                         workers=3, chunk_size=97)
+    par = bq.monte_carlo(fig_design, params, reps=1500, seed=6, chunk_size=97)
     assert base.to_dict() == par.to_dict()
     _report("criterion 9", "round-trip, normalization, monotonicity, "
                            "identities, ordering, replay, determinism")

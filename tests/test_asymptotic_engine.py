@@ -15,6 +15,7 @@ from bivarseq import (
     norm_cdf,
     power_asymptotic,
     power_exact,
+    replicate_outcomes,
     stopping_pmf_asymptotic,
     stopping_pmf_exact,
 )
@@ -201,19 +202,9 @@ def test_estimates_concentrate_as_alternatives_tighten():
         design = delta_design(delta)
         tx = 0.05 * (1 + delta)
         params = make_params(tx, 0.1 * (1 + delta), 0.1)
-        master = np.random.SeedSequence(99).generate_state(1, dtype=np.uint64)[0]
         reps = 1500
-        from bivarseq.simulator import _outcome_from_uniforms, _cell_thresholds
-
-        thresholds = _cell_thresholds(params)
-        count = 0
-        for r in range(reps):
-            key = np.array([master, np.uint64(r)], dtype=np.uint64)
-            rng = np.random.Generator(np.random.Philox(key=key))
-            m, _, n00, n10, n01, n11 = _outcome_from_uniforms(
-                design, thresholds, rng.random(design.n_star))
-            if abs((n10 + n11) / m - tx) > 0.02:
-                count += 1
+        m, _, table = replicate_outcomes(design, params, reps, 99)
+        count = np.count_nonzero(np.abs((table[:, 1] + table[:, 3]) / m - tx) > 0.02)
         exceed.append(count / reps)
     for a, b in zip(exceed, exceed[1:]):
         assert b <= a + 0.01

@@ -11,6 +11,7 @@ from bivarseq import (
     make_params,
     monte_carlo,
     power_exact,
+    replicate_outcomes,
     run_test,
     sample_stream,
     stopping_pmf_exact,
@@ -190,9 +191,9 @@ class TestMonteCarlo:
     def test_deterministic_across_parallelism(self, fig_design):
         params = make_params(0.1, 0.2, 0.1)
         base = monte_carlo(fig_design, params, reps=2000, seed=13)
-        for workers, chunk in ((2, 137), (4, 1024), (3, 7)):
+        for chunk in (137, 1024, 7):
             again = monte_carlo(fig_design, params, reps=2000, seed=13,
-                                workers=workers, chunk_size=chunk)
+                                chunk_size=chunk)
             assert again.to_dict() == base.to_dict()
 
     def test_boundary_split_sums_to_one(self, fig_design):
@@ -224,3 +225,41 @@ class TestMonteCarlo:
     def test_reps_validated(self, fig_design):
         with pytest.raises(ValueError):
             monte_carlo(fig_design, make_params(0.1, 0.2, 0.1), reps=0, seed=1)
+
+    @pytest.mark.parametrize("chunk", [0, -3])
+    @pytest.mark.parametrize("fn", [monte_carlo, replicate_outcomes])
+    def test_chunk_size_validated(self, fig_design, fn, chunk):
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            fn(fig_design, make_params(0.1, 0.2, 0.1), 10, 1, chunk_size=chunk)
+
+
+class TestReplicateOutcomes:
+    @pytest.mark.parametrize("which, point, reps, seed", [
+        # 700 and 2700 replicates are not multiples of the largest blocks
+        # (541 rows at n* = 121, 2621 at n* = 25)
+        ("fig", (0.1, 0.2, 0.1), 700, 31),
+        ("corner", (0.35, 0.35, 0.5), 2700, 19),
+    ])
+    def test_rows_equal_run_test(self, fig_design, which, point, reps, seed):
+        """Row r is the run_test outcome of sample_stream(..., stream=r), at
+        every chunking."""
+        design = fig_design if which == "fig" else make_design(25, 3, 3)
+        params = make_params(*point)
+        names = ("none", "x", "y", "corner")
+        expected = []
+        for r in range(reps):
+            o = run_test(design, sample_stream(params, seed, design.n_star, stream=r))
+            c = o.counts
+            expected.append((o.m_star, names.index(o.boundary),
+                             c.n00, c.n10, c.n01, c.n11))
+        if which == "corner":
+            assert any(row[1] == 3 for row in expected[:300])
+        for chunk in (1, 37, 1024):
+            m_star, code, table = replicate_outcomes(design, params, reps, seed,
+                                                     chunk_size=chunk)
+            assert (m_star.dtype, code.dtype, table.dtype) == (
+                np.int64, np.int8, np.int64)
+            assert table.shape == (reps, 4)
+            got = [(m, b, *row) for m, b, row in
+                   zip(m_star.tolist(), code.tolist(), table.tolist())]
+            assert got == expected
