@@ -196,6 +196,28 @@ def _flatten(obj, prefix=""):
         yield prefix.rstrip("."), obj
 
 
+def _flat_fields(doc, what: str, kinds: dict, defaults: Optional[dict] = None) -> dict:
+    """The fields of a flat JSON document (params, table, event line),
+    checked: ``kinds`` maps each field to ``int`` (a JSON integer) or
+    ``float`` (any JSON number); a field absent from ``doc`` takes its value
+    from ``defaults``.  A ValueError names ``what`` and the field at fault."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    fields = dict(defaults or {})
+    for name, kind in kinds.items():
+        if name in doc:
+            value = doc[name]
+            if isinstance(value, bool) or not isinstance(
+                    value, int if kind is int else (int, float)):
+                raise ValueError(f"{what}: field {name!r} must be "
+                                 f"{'an integer' if kind is int else 'a number'}, "
+                                 f"not {value!r}")
+            fields[name] = kind(value)
+        elif name not in fields:
+            raise ValueError(f"{what} lacks the field {name!r}")
+    return fields
+
+
 def _load_design(path: str) -> BivariateDesign:
     with open(path) as fh:
         return BivariateDesign.from_dict(json.load(fh))
@@ -207,8 +229,9 @@ def _params_from_args(args) -> JointBernoulliParams:
     if getattr(args, "params", None):
         with open(args.params) as fh:
             doc = json.load(fh)
-        return make_params(float(doc["theta_x"]), float(doc["theta_y"]),
-                           float(doc.get("rho", 0.0)))
+        return make_params(**_flat_fields(doc, f"params file {args.params}",
+                                          dict.fromkeys(("theta_x", "theta_y", "rho"), float),
+                                          {"rho": 0.0}))
     if args.theta_x is None or args.theta_y is None:
         raise ValueError("give --theta-x and --theta-y, or --params FILE")
     return make_params(args.theta_x, args.theta_y, args.rho)
@@ -306,8 +329,8 @@ def _cmd_analyze(args) -> dict:
     if args.table:
         with open(args.table) as fh:
             doc = json.load(fh)
-        counts = LatticeCounts(n00=doc["n00"], n10=doc["n10"],
-                               n01=doc["n01"], n11=doc["n11"])
+        counts = LatticeCounts(**_flat_fields(doc, f"table file {args.table}",
+                                              dict.fromkeys(("n00", "n10", "n01", "n11"), int)))
     else:
         n00, n10, n01, n11 = args.counts
         counts = LatticeCounts(n00=n00, n10=n10, n01=n01, n11=n11)
@@ -346,12 +369,8 @@ def _cmd_monitor(args, out: TextIO) -> int:
             line = line.strip()
             if not line:
                 continue
-            doc = json.loads(line)
-            try:
-                event = Event(seq=int(doc["seq"]), x=int(doc["x"]), y=int(doc["y"]))
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"malformed event {line!r} "
-                                 f"({type(exc).__name__}: {exc})") from None
+            event = Event(**_flat_fields(json.loads(line), f"event {line!r}",
+                                         dict.fromkeys(("seq", "x", "y"), int)))
             new_state, record = monitor_step(state, event)
             out.write(json.dumps(record) + "\n")
             state = new_state

@@ -139,6 +139,11 @@ class BivariateDesign:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed design document "
                              f"({type(exc).__name__}: {exc})") from None
+        for side, marginal in (("x", x), ("y", y)):
+            for f in ("n_star", "k_star"):
+                if isinstance(getattr(marginal, f), (bool, float)):
+                    raise ValueError(f"malformed design document ({side}.{f} must be "
+                                     f"an integer, not {getattr(marginal, f)!r})")
         return cls(x=x, y=y)
 
 

@@ -18,19 +18,21 @@ nu - k_x is W ~ Bin(nu - k_x, q) with q = p01/(p00+p01), independently:
 
 and the Y boundary is the same computation with the margins swapped.  One
 pass advances the pmf of W, truncated at k_y, a step at a time, so the whole
-law costs O(n_star k).  The same pass gives E[S_y(M); M = m], which the
-estimator expectations need.  The curtailed part, P(M > n_star) and
-E[S; M > n_star], is one sum over (S_x, both-effects count) with binomial
-cdfs of W, so the power needs no per-m pass.
+law costs O(n_star k).  The same pass gives E[S_y(M); M = m].  P(M > n_star)
+is one sum over (S_x, both-effects count) with binomial cdfs of W, so the
+power needs no per-m pass; Wald's identity E[S_x(min(M, n_star))] =
+theta_x E[min(M, n_star)] gives the curtailed E[S_x; M > n_star] of the
+estimator expectations.  The engine keeps the law of the last (design,
+params) point, which the pmf, the moments and both estimators read.
 
-A forward dynamic program over the "alive" lattice rectangle provides an
-independent route to the same distribution and is used as a cross-check
-oracle throughout the test suite.
+A forward dynamic program over the alive lattice is an independent route to
+the same distribution, kept as the test suite's oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import bdtr, gammaln, xlogy
@@ -160,19 +162,29 @@ def _boundary_pass(n_star: int, k_hit: int, k_other: int,
     return out
 
 
-def _stopping_law(design: BivariateDesign, params: JointBernoulliParams):
-    """Support, per-m masses (X only, Y only, corner) and per-m
-    E[S_x(M); M = m], E[S_y(M); M = m]."""
-    n_star, k_x, k_y, low = design.n_star, design.k_x, design.k_y, design.k_lower
+@lru_cache(maxsize=1)
+def _law(n_star: int, k_x: int, k_y: int, params: JointBernoulliParams):
+    """(StoppingPmf, E[min(M, n_star)], E[min(M, n_star)^2], E[theta_hat_x],
+    E[theta_hat_y]) at one point.  Callers share the read-only arrays."""
+    low = min(k_x, k_y)
     x_only, corner, sy_at_x = _boundary_pass(n_star, k_x, k_y, params)[:, low:]
     y_only, _, sx_at_y = _boundary_pass(n_star, k_y, k_x, params.swapped())[:, low:]
-    return (np.arange(low + 1, n_star + 1), x_only, y_only, corner,
-            (k_x + 1) * (x_only + corner) + sx_at_y,
-            (k_y + 1) * (y_only + corner) + sy_at_x)
+    support = np.arange(low + 1, n_star + 1)
+    for arr in (support, x_only, y_only, corner):
+        arr.flags.writeable = False
+    pmf = StoppingPmf(support=support, mass_x=x_only, mass_y=y_only, mass_corner=corner,
+                      continue_mass=min(_alive_at(n_star, k_x, k_y, params), 1.0))
+    mean, second = pmf.moments(n_star)
+    _, p10, p01, p11 = params.cell_probs
+    # sum_m E[S; M = m] / m, plus E[S; M > n_star] / n_star by Wald's identity
+    est = [float((s / support).sum() + (theta * mean - s.sum()) / n_star)
+           for theta, s in ((p10 + p11, (k_x + 1) * (x_only + corner) + sx_at_y),
+                            (p01 + p11, (k_y + 1) * (y_only + corner) + sy_at_x))]
+    return (pmf, mean, second, *est)
 
 
-def _alive_at(n: int, k_x: int, k_y: int, params: JointBernoulliParams):
-    """(P(S_x(n) <= k_x, S_y(n) <= k_y), E[S_x(n); same event]).
+def _alive_at(n: int, k_x: int, k_y: int, params: JointBernoulliParams) -> float:
+    """P(S_x(n) <= k_x, S_y(n) <= k_y).
 
     Sums, over S_x = a and the both-effects count z <= a, the multinomial
     mass times the binomial cdf of the Y-only count among the n - a others.
@@ -182,14 +194,12 @@ def _alive_at(n: int, k_x: int, k_y: int, params: JointBernoulliParams):
     h = np.exp(gammaln(n + 1.0) - gammaln(z + 1.0) - gammaln(a - z + 1.0)
                - gammaln(n - a + 1.0) + xlogy(z, p11) + xlogy(a - z, p10)
                + xlogy(n - a, p00 + p01))
-    prob = h * bdtr(np.minimum(k_y - z, n - a), n - a, p01 / (p00 + p01))
-    return float(prob.sum()), float((a * prob).sum())
+    return float((h * bdtr(np.minimum(k_y - z, n - a), n - a, p01 / (p00 + p01))).sum())
 
 
 def non_rejection_prob(design: BivariateDesign, params: JointBernoulliParams) -> float:
     """P(both terminal counts stay at or below their critical values)."""
-    prob, _ = _alive_at(design.n_star, design.k_x, design.k_y, params)
-    return min(prob, 1.0)
+    return min(_alive_at(design.n_star, design.k_x, design.k_y, params), 1.0)
 
 
 def power_exact(design: BivariateDesign, params: JointBernoulliParams) -> float:
@@ -198,12 +208,8 @@ def power_exact(design: BivariateDesign, params: JointBernoulliParams) -> float:
 
 
 def stopping_pmf_exact(design: BivariateDesign, params: JointBernoulliParams) -> StoppingPmf:
-    """Full stopping-time distribution from the conditional-binomial boundary law."""
-    support, mass_x, mass_y, mass_c, _, _ = _stopping_law(design, params)
-    return StoppingPmf(
-        support=support, mass_x=mass_x, mass_y=mass_y, mass_corner=mass_c,
-        continue_mass=non_rejection_prob(design, params),
-    )
+    """Full stopping-time distribution (read-only arrays) from the boundary law."""
+    return _law(design.n_star, design.k_x, design.k_y, params)[0]
 
 
 def lattice_forward_dp(design: BivariateDesign, params: JointBernoulliParams) -> StoppingPmf:
@@ -248,7 +254,7 @@ def corner_mass_exact(design: BivariateDesign, params: JointBernoulliParams) -> 
 
 def asn_exact(design: BivariateDesign, params: JointBernoulliParams) -> float:
     """Expected terminal sample size E[min(M, n_star)]."""
-    return stopping_pmf_exact(design, params).moments(design.n_star)[0]
+    return _law(design.n_star, design.k_x, design.k_y, params)[1]
 
 
 def _marginal_curtailed_asn(n_star: int, k: int, theta: float) -> float:
@@ -297,12 +303,12 @@ def asn_bounds(design: BivariateDesign, params: JointBernoulliParams) -> tuple[f
 
 def second_moment_exact(design: BivariateDesign, params: JointBernoulliParams) -> float:
     """E[min(M, n_star)^2]."""
-    return stopping_pmf_exact(design, params).moments(design.n_star)[1]
+    return _law(design.n_star, design.k_x, design.k_y, params)[2]
 
 
 def variance_cv(design: BivariateDesign, params: JointBernoulliParams) -> tuple[float, float]:
     """(variance, coefficient of variation) of the terminal sample size."""
-    mean, second = stopping_pmf_exact(design, params).moments(design.n_star)
+    _, mean, second, _, _ = _law(design.n_star, design.k_x, design.k_y, params)
     var = second - mean * mean
     if var < -1e-9:
         raise ArithmeticError(f"negative variance {var}: inconsistent moments")
@@ -316,10 +322,4 @@ def estimator_expectation_exact(design: BivariateDesign, params: JointBernoulliP
     plus the curtailed part E[S(n_star); M > n_star] / n_star."""
     if margin not in ("x", "y"):
         raise ValueError("margin must be 'x' or 'y'")
-    support, _, _, _, wx, wy = _stopping_law(design, params)
-    stopped = float(((wx if margin == "x" else wy) / support).sum())
-    if margin == "x":
-        _, curtailed = _alive_at(design.n_star, design.k_x, design.k_y, params)
-    else:
-        _, curtailed = _alive_at(design.n_star, design.k_y, design.k_x, params.swapped())
-    return stopped + curtailed / design.n_star
+    return _law(design.n_star, design.k_x, design.k_y, params)[3 if margin == "x" else 4]

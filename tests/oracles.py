@@ -1,8 +1,9 @@
 """Independent oracles the tests check the engines against.
 
 Everything here deliberately avoids the code paths under test: exhaustive
-path enumeration, direct binomial summation via scipy.stats, and adaptive
-quadrature of the normal density.
+path enumeration, a forward recursion over the alive lattice for the
+estimator expectations, direct binomial summation via scipy.stats, and
+adaptive quadrature of the normal density.
 """
 
 from dataclasses import dataclass
@@ -77,6 +78,35 @@ def enumerate_paths(design: BivariateDesign, cell_probs) -> EnumeratedLaw:
         second_moment=float(second), variance=float(second - asn ** 2),
         est_x=float((weight * th_x).sum()), est_y=float((weight * th_y).sum()),
     )
+
+
+def estimator_dp(design: BivariateDesign, cell_probs) -> tuple[float, float]:
+    """(E[theta_hat_x], E[theta_hat_y]) by forward recursion over the alive
+    lattice: each step adds the mass absorbed past either critical value times
+    its counts over m, and the mass still alive at n_star adds its counts over
+    n_star.  Shares no code with the exact engine's boundary passes.
+    """
+    n_star, k_x, k_y = design.n_star, design.k_x, design.k_y
+    p00, p10, p01, p11 = cell_probs
+    a = np.arange(k_x + 2)[:, None]
+    b = np.arange(k_y + 2)[None, :]
+    alive = np.zeros((k_x + 1, k_y + 1))
+    alive[0, 0] = 1.0
+    est_x = est_y = 0.0
+    for m in range(1, n_star + 1):
+        new = np.zeros((k_x + 2, k_y + 2))
+        new[:-1, :-1] += p00 * alive
+        new[1:, :-1] += p10 * alive
+        new[:-1, 1:] += p01 * alive
+        new[1:, 1:] += p11 * alive
+        absorbed = new.copy()
+        absorbed[:-1, :-1] = 0.0
+        est_x += float((absorbed * a).sum()) / m
+        est_y += float((absorbed * b).sum()) / m
+        alive = new[:-1, :-1]
+    est_x += float((alive * a[:-1]).sum()) / n_star
+    est_y += float((alive * b[:, :-1]).sum()) / n_star
+    return est_x, est_y
 
 
 def independent_margins_pmf(design: BivariateDesign, theta_x: float, theta_y: float):

@@ -1,10 +1,14 @@
+import contextlib
 import csv
 import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bivarseq import (
     LatticeCounts,
@@ -257,6 +261,57 @@ class TestExitCodes:
         assert len(out.splitlines()) == 1
         assert json.loads(state.read_text())["last_seq"] == 1
 
+    @pytest.mark.parametrize("doc, fragment", [
+        ({"theta_x": 0.1, "rho": 0.1}, "lacks the field 'theta_y'"),
+        ([0.1, 0.2, 0.1], "must be a JSON object"),
+    ])
+    def test_params_document(self, design_file, tmp_path, capsys, doc, fragment):
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps(doc))
+        code, _ = run_cli("power", "--design", design_file, "--params", str(pfile))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: params file") and fragment in err
+
+    @pytest.mark.parametrize("doc, fragment", [
+        ({"n00": 63, "n10": 18, "n11": 25}, "lacks the field 'n01'"),
+        ([63, 18, 11, 25], "must be a JSON object"),
+        ({"n00": 5.5, "n10": 18, "n01": 11, "n11": 25}, "'n00' must be an integer"),
+    ])
+    def test_table_document(self, tmp_path, capsys, doc, fragment):
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(doc))
+        code, out = run_cli("analyze", "--table", str(table))
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: table file") and fragment in err
+
+    @pytest.mark.parametrize("event, fragment", [
+        ({"seq": 1.7, "x": 0, "y": 0}, "'seq' must be an integer"),
+        ({"seq": 1, "x": True, "y": 0}, "'x' must be an integer"),
+    ])
+    def test_monitor_event_field_types(self, design_file, tmp_path, capsys,
+                                       event, fragment):
+        events = tmp_path / "ev.jsonl"
+        events.write_text(json.dumps(event) + "\n")
+        code, out = run_cli("monitor", "--design", design_file,
+                            "--state", str(tmp_path / "state.json"),
+                            "--input", str(events))
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: event") and fragment in err
+
+    @pytest.mark.parametrize("command", ["power", "asn", "pmf"])
+    def test_design_integer_fields(self, design_file, tmp_path, capsys, command):
+        doc = json.loads(Path(design_file).read_text())
+        doc["x"]["n_star"] = float(doc["x"]["n_star"])
+        bad = tmp_path / "design.json"
+        bad.write_text(json.dumps(doc))
+        code, _ = run_cli(command, "--design", str(bad),
+                          "--theta-x", "0.1", "--theta-y", "0.2")
+        assert code == 2
+        assert "x.n_star must be an integer" in capsys.readouterr().err
+
     def test_missing_design_file(self):
         code, _ = run_cli("power", "--design", "/nonexistent/d.json",
                           "--theta-x", "0.1", "--theta-y", "0.2")
@@ -278,3 +333,55 @@ class TestExitCodes:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n_star"] == 121
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 200)
+                 | st.floats(allow_nan=True, allow_infinity=True)
+                 | st.floats(0.0, 1.0) | st.text(max_size=4))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _documents(plausible: dict):
+    """Arbitrary JSON values, objects holding any subset of the fields with
+    arbitrary values, and objects holding every field with a plausible value."""
+    return (_JSON_VALUES
+            | st.fixed_dictionaries({}, optional=dict.fromkeys(plausible, _JSON_VALUES))
+            | st.fixed_dictionaries(plausible))
+
+
+def _main_exit(*argv):
+    """Exit code and stderr of one in-process run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(list(argv), out=io.StringIO())
+    return code, err.getvalue()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(params=_documents({"theta_x": st.floats(-0.1, 1.1), "theta_y": st.floats(-0.1, 1.1),
+                          "rho": st.floats(-1.1, 1.1)}),
+       table=_documents(dict.fromkeys(("n00", "n10", "n01", "n11"), st.integers(-1, 40))),
+       events=st.lists(_documents({"seq": st.integers(1, 2), "x": st.integers(0, 2),
+                                   "y": st.integers(0, 2)}), min_size=1, max_size=4))
+def test_fuzz_input_documents(params, table, events):
+    """Whatever JSON the params, table and event documents hold, the CLI
+    answers or exits 2 with a message, never with a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "design.json").write_text(json.dumps(make_design(20, 3, 2).to_dict()))
+        (tmp / "params.json").write_text(json.dumps(params))
+        (tmp / "table.json").write_text(json.dumps(table))
+        (tmp / "ev.jsonl").write_text("".join(json.dumps(e) + "\n" for e in events))
+        for argv in (("power", "--design", str(tmp / "design.json"),
+                      "--params", str(tmp / "params.json")),
+                     ("analyze", "--table", str(tmp / "table.json")),
+                     ("monitor", "--design", str(tmp / "design.json"),
+                      "--state", str(tmp / "state.json"), "--input", str(tmp / "ev.jsonl"))):
+            code, err = _main_exit(*argv)
+            assert code in (0, 2), (argv[0], code, err)
+            assert "Traceback" not in err
+            assert code == 0 or err.startswith("error:")

@@ -18,8 +18,9 @@ from bivarseq import (
     stopping_pmf_exact,
     variance_cv,
 )
+from bivarseq import exact_engine
 from conftest import TINY_DESIGNS, make_design
-from oracles import enumerate_paths, independent_margins_pmf, tail_sum_asn
+from oracles import enumerate_paths, estimator_dp, independent_margins_pmf, tail_sum_asn
 
 # parameter points that are feasible for every tiny design below
 TINY_PARAMS = [(0.3, 0.4, 0.2), (0.25, 0.2, -0.05), (0.5, 0.3, 0.1)]
@@ -122,6 +123,21 @@ class TestDpOracle:
         np.testing.assert_allclose(dp.mass_corner, closed.mass_corner, atol=1e-10)
         assert dp.continue_mass == pytest.approx(closed.continue_mass, abs=1e-10)
 
+    @pytest.mark.parametrize("geom, point", [
+        ((121, 19, 18), (0.1, 0.2, 0.1)),
+        ((121, 19, 18), (0.12, 0.11, -0.05)),
+        ((310, 43, 40), (0.06, 0.12, 0.1)),
+        ((310, 43, 40), (0.06, 0.12, -0.05)),
+        ((1154, 143, 135), (0.065, 0.13, 0.1)),
+        ((1154, 143, 135), (0.05, 0.10, -0.05)),
+    ])
+    def test_estimator_expectations(self, geom, point):
+        design = make_design(*geom)
+        params = make_params(*point)
+        dp_x, dp_y = estimator_dp(design, params.cell_probs)
+        assert abs(estimator_expectation_exact(design, params, "x") - dp_x) <= 2e-14
+        assert abs(estimator_expectation_exact(design, params, "y") - dp_y) <= 2e-14
+
     def test_rejection_mass_reference(self, fig_design):
         dp = lattice_forward_dp(fig_design, make_params(0.1, 0.2, 0.1))
         assert dp.rejection_mass == pytest.approx(0.9065, abs=5e-4)
@@ -134,6 +150,41 @@ class TestDpOracle:
         params = make_params(0.2, 0.3, hi)
         dp = lattice_forward_dp(design, params)
         assert dp.total_mass() == pytest.approx(1.0, abs=1e-10)
+
+
+class TestOneLaw:
+    def test_one_law_per_point(self, monkeypatch):
+        """Every law-reading output at one point shares one pair of boundary
+        passes, and the shared arrays cannot be written."""
+        passes = []
+        boundary_pass = exact_engine._boundary_pass
+        monkeypatch.setattr(exact_engine, "_boundary_pass",
+                            lambda *args: passes.append(args) or boundary_pass(*args))
+        exact_engine._law.cache_clear()
+        design = make_design(121, 19, 18)
+
+        def report(params):
+            pmf = stopping_pmf_exact(design, params)
+            return ([arr.copy() for arr in (pmf.support, pmf.mass_x, pmf.mass_y,
+                                            pmf.mass_corner)],
+                    pmf.continue_mass, asn_exact(design, params),
+                    second_moment_exact(design, params), variance_cv(design, params),
+                    estimator_expectation_exact(design, params, "x"),
+                    estimator_expectation_exact(design, params, "y"))
+
+        first_point, second_point = make_params(0.1, 0.2, 0.1), make_params(0.12, 0.11, -0.05)
+        before = report(first_point)
+        assert len(passes) == 2
+        report(second_point)
+        assert len(passes) == 4
+        pmf = stopping_pmf_exact(design, first_point)
+        for arr in (pmf.support, pmf.mass_x, pmf.mass_y, pmf.mass_corner):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        after = report(first_point)
+        for old, new in zip(before[0], after[0]):
+            np.testing.assert_array_equal(old, new)
+        assert before[1:] == after[1:]
 
 
 class TestIndependenceOracle:
