@@ -144,6 +144,13 @@ class BivariateDesign:
                 if isinstance(getattr(marginal, f), (bool, float)):
                     raise ValueError(f"malformed design document ({side}.{f} must be "
                                      f"an integer, not {getattr(marginal, f)!r})")
+            # the range design_marginal enforces
+            for f in ("alpha_tilde", "beta"):
+                value = getattr(marginal, f)
+                if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                                   and 0.0 < value < 0.5):
+                    raise ValueError(f"malformed design document ({side}.{f} must be "
+                                     f"a number in (0, 0.5), not {value!r})")
         return cls(x=x, y=y)
 
 

@@ -35,11 +35,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import bdtr, gammaln, xlogy
 
 from .design import BivariateDesign
 from .params import JointBernoulliParams
-from .special_functions import reg_inc_beta
+from .special_functions import _sp, reg_inc_beta
 
 __all__ = [
     "LatticeCounts",
@@ -132,6 +131,7 @@ def _boundary_pass(n_star: int, k_hit: int, k_other: int,
     """
     p00, p10, p01, p11 = params.cell_probs
     theta, rest = p10 + p11, p00 + p01
+    gammaln, xlogy = _sp().gammaln, _sp().xlogy
     # law of the both-effects count Z ~ Bin(k_hit, p11/theta) given S_hit = k_hit
     z = np.arange(k_other + 1)
     zc = np.minimum(z, k_hit)
@@ -190,6 +190,7 @@ def _alive_at(n: int, k_x: int, k_y: int, params: JointBernoulliParams) -> float
     mass times the binomial cdf of the Y-only count among the n - a others.
     """
     p00, p10, p01, p11 = params.cell_probs
+    bdtr, gammaln, xlogy = _sp().bdtr, _sp().gammaln, _sp().xlogy
     a, z = np.tril_indices(min(k_x, n) + 1, m=min(k_x, k_y) + 1)
     h = np.exp(gammaln(n + 1.0) - gammaln(z + 1.0) - gammaln(a - z + 1.0)
                - gammaln(n - a + 1.0) + xlogy(z, p11) + xlogy(a - z, p10)

@@ -8,14 +8,18 @@ cdf is computed here directly with a fixed-order Gauss-Legendre reduction of
 the single-integral representation over the correlation parameter (the
 classical Drezner-Wesolowsky / Genz scheme), so that it is deterministic and
 vectorizes over the grid arguments the engines feed it.
+
+This module is the package's only importer of scipy, and it imports
+:mod:`scipy.special` on first use: that import takes about half of a fresh
+process's start, and the monitor and Monte Carlo call none of its functions.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import DegenerateCovarianceError
 
@@ -40,12 +44,19 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _Z_CAP = 39.0
 
 
+@functools.cache
+def _sp():
+    """:mod:`scipy.special`, imported by the first call."""
+    from scipy import special
+    return special
+
+
 def log_gamma(x):
     """Natural log of the gamma function for x > 0."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("log_gamma requires x > 0")
-    out = sp.gammaln(x)
+    out = _sp().gammaln(x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -63,13 +74,13 @@ def reg_inc_beta(x, a, b):
         raise ValueError("reg_inc_beta requires 0 <= x <= 1")
     if np.any(a <= 0.0) or np.any(b <= 0.0):
         raise ValueError("reg_inc_beta requires a > 0 and b > 0")
-    out = sp.betainc(a, b, x)
+    out = _sp().betainc(a, b, x)
     return float(out) if out.ndim == 0 else out
 
 
 def norm_cdf(z):
     """Standard normal cdf."""
-    out = sp.ndtr(np.asarray(z, dtype=float))
+    out = _sp().ndtr(np.asarray(z, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -85,7 +96,7 @@ def norm_quantile(p):
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise ValueError("norm_quantile requires 0 < p < 1")
-    out = sp.ndtri(p)
+    out = _sp().ndtri(p)
     return float(out) if out.ndim == 0 else out
 
 
@@ -107,7 +118,7 @@ def bvn_cdf(h, k, rho):
     k = np.atleast_1d(k).astype(float)
 
     if rho == 0.0:
-        out = sp.ndtr(h) * sp.ndtr(k)
+        out = _sp().ndtr(h) * _sp().ndtr(k)
     elif abs(rho) < 0.925:
         out = _bvn_small_rho(h, k, rho)
     else:
@@ -125,7 +136,7 @@ def _bvn_small_rho(h, k, rho):
     sn = np.sin(theta)
     expo = (np.outer(hk, sn) - hs[:, None]) / (1.0 - sn * sn)[None, :]
     acc = np.exp(expo) @ _GL_WEIGHTS
-    return sp.ndtr(h) * sp.ndtr(k) + acc * (0.5 * asr) / (2.0 * np.pi)
+    return _sp().ndtr(h) * _sp().ndtr(k) + acc * (0.5 * asr) / (2.0 * np.pi)
 
 
 def _bvn_large_rho(h, k, rho):
@@ -147,7 +158,7 @@ def _bvn_large_rho(h, k, rho):
     b = np.sqrt(bs)
     bvn = bvn - np.where(
         safe,
-        np.exp(-hk_s / 2.0) * _SQRT_2PI * sp.ndtr(-b / a) * b
+        np.exp(-hk_s / 2.0) * _SQRT_2PI * _sp().ndtr(-b / a) * b
         * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0),
         0.0,
     )
@@ -164,8 +175,8 @@ def _bvn_large_rho(h, k, rho):
     bvn = bvn + (0.5 * a) * (integrand @ _GL_WEIGHTS)
     bvn = -bvn / (2.0 * np.pi)
     if rho > 0:
-        return bvn + sp.ndtr(-np.maximum(hh, kk))
-    return -bvn + np.maximum(0.0, sp.ndtr(-hh) - sp.ndtr(-kk))
+        return bvn + _sp().ndtr(-np.maximum(hh, kk))
+    return -bvn + np.maximum(0.0, _sp().ndtr(-hh) - _sp().ndtr(-kk))
 
 
 @dataclass(frozen=True)

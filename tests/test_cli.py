@@ -17,6 +17,7 @@ from bivarseq import (
     make_params,
     post_test_estimate,
     power_exact,
+    state_load,
     stopping_pmf_exact,
 )
 from bivarseq.cli_monitor import main
@@ -312,6 +313,27 @@ class TestExitCodes:
         assert code == 2
         assert "x.n_star must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("side, field, value", [
+        ("x", "alpha_tilde", "abc"), ("y", "beta", None),
+        ("x", "beta", True), ("y", "alpha_tilde", 0.7),
+    ])
+    @pytest.mark.parametrize("command", ["power", "monitor"])
+    def test_design_error_targets(self, design_file, tmp_path, capsys,
+                                  command, side, field, value):
+        doc = json.loads(Path(design_file).read_text())
+        doc[side][field] = value
+        bad = tmp_path / "design.json"
+        bad.write_text(json.dumps(doc))
+        events = tmp_path / "ev.jsonl"
+        events.write_text(json.dumps({"seq": 1, "x": 0, "y": 0}) + "\n")
+        argv = {"power": ("--theta-x", "0.1", "--theta-y", "0.2"),
+                "monitor": ("--state", str(tmp_path / "state.json"),
+                            "--input", str(events))}[command]
+        code, out = run_cli(command, "--design", str(bad), *argv)
+        assert (code, out) == (2, "")
+        assert f"{side}.{field} must be a number in (0, 0.5)" in capsys.readouterr().err
+        assert not (tmp_path / "state.json").exists()
+
     def test_missing_design_file(self):
         code, _ = run_cli("power", "--design", "/nonexistent/d.json",
                           "--theta-x", "0.1", "--theta-y", "0.2")
@@ -335,6 +357,57 @@ class TestExitCodes:
         assert json.loads(proc.stdout)["n_star"] == 121
 
 
+def _fresh_python(script, *args):
+    """Stdout of ``script`` run in a new interpreter with ``args`` as sys.argv[1:]."""
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, check=True).stdout
+
+
+class TestStartup:
+    """Importing scipy.special is about half of a fresh process's start; the
+    monitor and Monte Carlo call none of it, so they start without it."""
+
+    _POWER = ("'power', '--design', sys.argv[1], '--theta-x', '0.1', "
+              "'--theta-y', '0.2', '--rho', '0.1'")
+
+    def test_monitor_and_simulate_leave_scipy_unloaded(self, design_file, tmp_path):
+        events = tmp_path / "ev.jsonl"
+        events.write_text("".join(json.dumps({"seq": i + 1, "x": i % 2, "y": 1}) + "\n"
+                                  for i in range(30)))
+        script = f"""
+import io, sys
+from bivarseq.cli_monitor import main
+assert main(['monitor', '--design', sys.argv[1], '--state', sys.argv[2],
+             '--input', sys.argv[3]], out=io.StringIO()) == 0
+assert main(['simulate', '--design', sys.argv[1], '--theta-x', '0.1', '--theta-y', '0.2',
+             '--reps', '50', '--seed', '3'], out=io.StringIO()) == 0
+print('scipy' in sys.modules)
+out = io.StringIO()
+assert main([{self._POWER}], out=out) == 0
+print('scipy' in sys.modules)
+print(out.getvalue(), end='')
+"""
+        lines = _fresh_python(script, design_file, str(tmp_path / "state.json"),
+                              str(events)).splitlines()
+        assert lines[:2] == ["False", "True"]
+        # power, the first scipy caller, prints what it prints when scipy came first
+        eager = _fresh_python(f"""
+import sys
+import scipy.special
+from bivarseq.cli_monitor import main
+main([{self._POWER}])
+""", design_file)
+        assert "\n".join(lines[2:]) + "\n" == eager
+        assert json.loads(eager)["method"] == "exact"
+
+    def test_import_loads_every_layer(self):
+        # the benchmark's tracer wraps these modules, found in sys.modules
+        layers = ("special_functions", "params", "design", "exact_engine",
+                  "asymptotic_engine", "simulator", "inference", "cli_monitor")
+        loaded = _fresh_python("import sys, bivarseq; print(' '.join(sorted(sys.modules)))")
+        assert {f"bivarseq.{layer}" for layer in layers} <= set(loaded.split())
+
+
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 200)
                  | st.floats(allow_nan=True, allow_infinity=True)
                  | st.floats(0.0, 1.0) | st.text(max_size=4))
@@ -354,11 +427,11 @@ def _documents(plausible: dict):
 
 
 def _main_exit(*argv):
-    """Exit code and stderr of one in-process run."""
-    err = io.StringIO()
+    """Exit code, stdout and stderr of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(list(argv), out=io.StringIO())
-    return code, err.getvalue()
+        code = main(list(argv), out=out)
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -381,7 +454,51 @@ def test_fuzz_input_documents(params, table, events):
                      ("analyze", "--table", str(tmp / "table.json")),
                      ("monitor", "--design", str(tmp / "design.json"),
                       "--state", str(tmp / "state.json"), "--input", str(tmp / "ev.jsonl"))):
-            code, err = _main_exit(*argv)
+            code, _, err = _main_exit(*argv)
             assert code in (0, 2), (argv[0], code, err)
             assert "Traceback" not in err
             assert code == 0 or err.startswith("error:")
+
+
+_DESIGN_FIELDS = [(side, f) for side in ("x", "y")
+                  for f in ("alpha_tilde", "beta", "theta0", "theta1", "n_star", "k_star")] \
+    + [("x",), ("y",), ("n_star",), ("k_lower",)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(edits=st.dictionaries(st.sampled_from(_DESIGN_FIELDS), _JSON_VALUES | st.integers(0, 8),
+                             max_size=3),
+       cells=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=8),
+       split=st.integers(0, 8))
+def test_fuzz_design_documents(edits, cells, split):
+    """Whatever JSON the fields of a design document hold, ``monitor`` answers
+    or exits 2 with a message, and the state file it leaves loads and holds
+    the counts of the last decision record written.  The events go in two
+    batches, so the second run resumes from the saved state."""
+    doc = make_design(6, 2, 1).to_dict()
+    for *parents, leaf in edits:
+        target = doc
+        for key in parents:
+            target = target[key] if isinstance(target, dict) else None
+        if isinstance(target, dict):
+            target[leaf] = edits[(*parents, leaf)]
+    events = [json.dumps({"seq": i + 1, "x": x, "y": y}) + "\n"
+              for i, (x, y) in enumerate(cells)]
+    last = {"seq": 0, "s_x": 0, "s_y": 0, "status": "open"}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "design.json").write_text(json.dumps(doc))
+        for batch in (events[:split], events[split:]):
+            (tmp / "ev.jsonl").write_text("".join(batch))
+            code, out, err = _main_exit("monitor", "--design", str(tmp / "design.json"),
+                                        "--state", str(tmp / "state.json"),
+                                        "--input", str(tmp / "ev.jsonl"))
+            assert code in (0, 2), (code, err)
+            assert "Traceback" not in err
+            assert code == 0 or err.startswith("error:")
+            for line in out.splitlines():
+                last = json.loads(line)
+            if (tmp / "state.json").exists():
+                state = state_load(json.loads((tmp / "state.json").read_text()))
+                assert (state.last_seq, state.s_x, state.s_y, state.status) == \
+                    (last["seq"], last["s_x"], last["s_y"], last["status"])

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from bivarseq import (
+    BivariateDesign,
     Event,
+    MarginalDesign,
     MonitorState,
     MonitorStateError,
     SequencingError,
@@ -161,6 +163,13 @@ class TestSaveLoad:
         doc.update(counts=counts, last_seq=last_seq, status=status)
         with pytest.raises(MonitorStateError, match="inconsistent"):
             state_load(doc)
+
+    @pytest.mark.parametrize("alpha_tilde", ["abc", None, True, 0.7])
+    def test_design_error_targets_checked(self, alpha_tilde):
+        margin = MarginalDesign(0.025, 0.1, 0.1, 0.3, 10, 2)
+        bad = BivariateDesign(x=MarginalDesign(alpha_tilde, 0.1, 0.1, 0.3, 10, 2), y=margin)
+        with pytest.raises(MonitorStateError, match="x.alpha_tilde"):
+            state_load(state_save(MonitorState.fresh(bad)))
 
     def test_corrupt_document_rejected(self):
         with pytest.raises(MonitorStateError):
