@@ -22,13 +22,14 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Optional, TextIO
 
 import numpy as np
 
 from . import asymptotic_engine, design as design_mod, exact_engine, inference
-from .design import BivariateDesign, combine
+from .design import BivariateDesign, _flat_fields, combine
 from .errors import BivarseqError, MonitorStateError, SequencingError
 from .exact_engine import LatticeCounts
 from .params import JointBernoulliParams, make_params
@@ -122,27 +123,30 @@ def state_save(state: MonitorState) -> dict:
         "version": _STATE_VERSION,
         "design": state.design.to_dict(),
         "design_hash": _design_hash(state.design),
-        "counts": {"n00": state.counts.n00, "n10": state.counts.n10,
-                   "n01": state.counts.n01, "n11": state.counts.n11},
+        "counts": asdict(state.counts),
         "last_seq": state.last_seq,
         "status": state.status,
     }
 
 
+_STATE_FIELDS = {"version": int, "design_hash": str, "last_seq": int, "status": str,
+                 "counts": dict.fromkeys(("n00", "n10", "n01", "n11"), int)}
+
+
 def state_load(doc: dict) -> MonitorState:
     """Parse and validate a saved state document."""
     try:
-        if doc["version"] != _STATE_VERSION:
-            raise MonitorStateError(f"unsupported state version {doc['version']!r}")
+        version = _flat_fields(doc, "state", {"version": int})["version"]
+        if version != _STATE_VERSION:
+            raise MonitorStateError(f"unsupported state version {version!r}")
+        fields = _flat_fields(doc, "state", _STATE_FIELDS)
         design = BivariateDesign.from_dict(doc["design"])
-        if doc["design_hash"] != _design_hash(design):
+        if fields["design_hash"] != _design_hash(design):
             raise MonitorStateError("design hash mismatch: state was saved "
                                     "under a different design")
-        counts = LatticeCounts(**doc["counts"])
-        state = MonitorState(design=design, counts=counts,
-                             last_seq=int(doc["last_seq"]),
-                             status=str(doc["status"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        state = MonitorState(design=design, counts=LatticeCounts(**fields["counts"]),
+                             last_seq=fields["last_seq"], status=fields["status"])
+    except (KeyError, ValueError) as exc:
         if isinstance(exc, MonitorStateError):
             raise
         raise MonitorStateError(f"corrupt state document: {exc}") from exc
@@ -196,42 +200,29 @@ def _flatten(obj, prefix=""):
         yield prefix.rstrip("."), obj
 
 
-def _flat_fields(doc, what: str, kinds: dict, defaults: Optional[dict] = None) -> dict:
-    """The fields of a flat JSON document (params, table, event line),
-    checked: ``kinds`` maps each field to ``int`` (a JSON integer) or
-    ``float`` (any JSON number); a field absent from ``doc`` takes its value
-    from ``defaults``.  A ValueError names ``what`` and the field at fault."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
-    fields = dict(defaults or {})
-    for name, kind in kinds.items():
-        if name in doc:
-            value = doc[name]
-            if isinstance(value, bool) or not isinstance(
-                    value, int if kind is int else (int, float)):
-                raise ValueError(f"{what}: field {name!r} must be "
-                                 f"{'an integer' if kind is int else 'a number'}, "
-                                 f"not {value!r}")
-            fields[name] = kind(value)
-        elif name not in fields:
-            raise ValueError(f"{what} lacks the field {name!r}")
-    return fields
+def _parse_json(data: bytes, what: str):
+    """The one JSON parser of the command line: ``data`` as a JSON value.
+    Bytes that are not UTF-8 or not JSON, or that nest deeper than the
+    parser recurses, raise a ValueError naming the document ``what``."""
+    try:
+        return json.loads(data.decode())
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{what} is not valid JSON ({exc})") from None
 
 
 def _load_design(path: str) -> BivariateDesign:
-    with open(path) as fh:
-        return BivariateDesign.from_dict(json.load(fh))
+    return BivariateDesign.from_dict(_parse_json(Path(path).read_bytes(),
+                                                 f"design file {path}"))
 
 
 def _params_from_args(args) -> JointBernoulliParams:
     """Margins and correlation from flags, or from a flat JSON file
     {"theta_x": ..., "theta_y": ..., "rho": ...} given via --params."""
     if getattr(args, "params", None):
-        with open(args.params) as fh:
-            doc = json.load(fh)
-        return make_params(**_flat_fields(doc, f"params file {args.params}",
-                                          dict.fromkeys(("theta_x", "theta_y", "rho"), float),
-                                          {"rho": 0.0}))
+        what = f"params file {args.params}"
+        doc = _parse_json(Path(args.params).read_bytes(), what)
+        return make_params(**_flat_fields(doc, what, {"theta_x": float, "theta_y": float,
+                                                      "rho": float}, {"rho": 0.0}))
     if args.theta_x is None or args.theta_y is None:
         raise ValueError("give --theta-x and --theta-y, or --params FILE")
     return make_params(args.theta_x, args.theta_y, args.rho)
@@ -327,9 +318,9 @@ def _cmd_simulate(args) -> dict:
 
 def _cmd_analyze(args) -> dict:
     if args.table:
-        with open(args.table) as fh:
-            doc = json.load(fh)
-        counts = LatticeCounts(**_flat_fields(doc, f"table file {args.table}",
+        what = f"table file {args.table}"
+        doc = _parse_json(Path(args.table).read_bytes(), what)
+        counts = LatticeCounts(**_flat_fields(doc, what,
                                               dict.fromkeys(("n00", "n10", "n01", "n11"), int)))
     else:
         n00, n10, n01, n11 = args.counts
@@ -356,20 +347,20 @@ def _cmd_analyze(args) -> dict:
 def _cmd_monitor(args, out: TextIO) -> int:
     design = _load_design(args.design)
     try:
-        with open(args.state) as fh:
-            state = state_load(json.load(fh))
+        state = state_load(_parse_json(Path(args.state).read_bytes(),
+                                       f"state file {args.state}"))
         if _design_hash(state.design) != _design_hash(design):
             raise MonitorStateError("state file belongs to a different design")
     except FileNotFoundError:
         state = MonitorState.fresh(design)
 
-    source = open(args.input) if args.input else sys.stdin
+    source = open(args.input, "rb") if args.input else sys.stdin.buffer
     try:
-        for line in source:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(source, 1):
+            if not line.strip():
                 continue
-            event = Event(**_flat_fields(json.loads(line), f"event {line!r}",
+            what = f"event line {number}"
+            event = Event(**_flat_fields(_parse_json(line, what), what,
                                          dict.fromkeys(("seq", "x", "y"), int)))
             new_state, record = monitor_step(state, event)
             out.write(json.dumps(record) + "\n")
@@ -490,7 +481,7 @@ def main(argv: Optional[list[str]] = None, out: TextIO = None) -> int:
         result = _COMMANDS[args.command](args)
         _emit(result, args.output, out)
         return 0
-    except (BivarseqError, ValueError, ZeroDivisionError, ArithmeticError) as exc:
+    except (BivarseqError, ValueError, ArithmeticError) as exc:
         if not args.quiet:
             print(f"error: {exc}", file=sys.stderr)
         return 2

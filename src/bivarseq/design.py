@@ -20,6 +20,8 @@ at N* = min of the margins while each margin keeps its own critical value.
 from __future__ import annotations
 
 import math
+import reprlib
+import sys
 from dataclasses import dataclass, asdict
 
 from .special_functions import norm_quantile, reg_inc_beta
@@ -132,26 +134,51 @@ class BivariateDesign:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BivariateDesign":
-        fields = ("alpha_tilde", "beta", "theta0", "theta1", "n_star", "k_star")
-        try:
-            x, y = (MarginalDesign(**{f: doc[side][f] for f in fields})
-                    for side in ("x", "y"))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed design document "
-                             f"({type(exc).__name__}: {exc})") from None
-        for side, marginal in (("x", x), ("y", y)):
-            for f in ("n_star", "k_star"):
-                if isinstance(getattr(marginal, f), (bool, float)):
-                    raise ValueError(f"malformed design document ({side}.{f} must be "
-                                     f"an integer, not {getattr(marginal, f)!r})")
+        sides = _flat_fields(doc, "design document", dict.fromkeys("xy", _MARGIN_FIELDS))
+        for side in "xy":
             # the range design_marginal enforces
             for f in ("alpha_tilde", "beta"):
-                value = getattr(marginal, f)
-                if isinstance(value, bool) or not (isinstance(value, (int, float))
-                                                   and 0.0 < value < 0.5):
-                    raise ValueError(f"malformed design document ({side}.{f} must be "
-                                     f"a number in (0, 0.5), not {value!r})")
-        return cls(x=x, y=y)
+                if not 0.0 < sides[side][f] < 0.5:
+                    raise ValueError(f"design document: field '{side}.{f}' must be "
+                                     f"a number in (0, 0.5), not {sides[side][f]!r}")
+        return cls(x=MarginalDesign(**sides["x"]), y=MarginalDesign(**sides["y"]))
+
+
+_MARGIN_FIELDS = {"alpha_tilde": float, "beta": float, "theta0": float, "theta1": float,
+                  "n_star": int, "k_star": int}
+# what each field kind of _flat_fields accepts, and its name in messages
+_KINDS = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")}
+
+
+def _flat_fields(doc, what: str, kinds: dict, defaults: dict | None = None) -> dict:
+    """The fields of a JSON document, checked: the one type policy of every
+    document bivarseq reads.  ``kinds`` maps each field to ``int`` (a JSON
+    integer), ``float`` (a finite JSON number), ``str`` or, for a nested
+    object, a dict of kinds; a boolean is never a number.  An absent field
+    takes its value from ``defaults``.  A ValueError names ``what`` and the
+    field at fault by its dotted path."""
+
+    def read(obj, kinds, fields, prefix):
+        if not isinstance(obj, dict):
+            where = f"{what}: field {prefix[:-1]!r}" if prefix else what
+            raise ValueError(f"{where} must be a JSON object, not {type(obj).__name__}")
+        for name, kind in kinds.items():
+            path = prefix + name
+            if name not in obj:
+                if name not in fields:
+                    raise ValueError(f"{what} lacks the field {path!r}")
+            elif isinstance(kind, dict):
+                fields[name] = read(obj[name], kind, {}, path + ".")
+            else:
+                value, (accepted, noun) = obj[name], _KINDS[kind]
+                if isinstance(value, bool) or not isinstance(value, accepted) or (
+                        kind is float and not abs(value) <= sys.float_info.max):
+                    raise ValueError(f"{what}: field {path!r} must be {noun}, "
+                                     f"not {reprlib.repr(value)}")
+                fields[name] = kind(value)
+        return fields
+
+    return read(doc, kinds, dict(defaults or {}), "")
 
 
 def critical_value_for_n(alpha_tilde: float, theta0: float, n: int,
@@ -205,9 +232,7 @@ def design_marginal(alpha_tilde: float, beta: float, theta0: float, theta1: floa
 def _smallest_valid_k(alpha_tilde: float, theta0: float, n: int):
     """Smallest k with P_theta0(S_n > k) <= alpha_tilde, or None."""
     # size decreases in k, so scan upward from a normal-approximation start
-    z = norm_quantile(1.0 - alpha_tilde)
-    start = int(math.floor(z * math.sqrt(n * theta0 * (1 - theta0)) + n * theta0 - 0.5)) - 3
-    k = max(start, 0)
+    k = max(critical_value_for_n(alpha_tilde, theta0, n, "floor") - 3, 0)
     if binom_sf(k, n, theta0) <= alpha_tilde:
         while k > 0 and binom_sf(k - 1, n, theta0) <= alpha_tilde:
             k -= 1

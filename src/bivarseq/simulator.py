@@ -16,7 +16,7 @@ replicates at once and classifies each stop with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -61,15 +61,6 @@ class TestOutcome:
     m_star: int
     boundary: str                # 'x' | 'y' | 'corner' | 'none'
     counts: LatticeCounts
-
-    def to_dict(self) -> dict:
-        return {
-            "decision": self.decision,
-            "m_star": self.m_star,
-            "boundary": self.boundary,
-            "counts": {"n00": self.counts.n00, "n10": self.counts.n10,
-                       "n01": self.counts.n01, "n11": self.counts.n11},
-        }
 
 
 def _master_word(seed: int) -> np.uint64:
@@ -205,15 +196,7 @@ class MonteCarloSummary:
     coverage_level: float
 
     def to_dict(self) -> dict:
-        return {
-            "reps": self.reps, "seed": self.seed,
-            "power": self.power, "power_se": self.power_se,
-            "asn": self.asn, "asn_se": self.asn_se,
-            "bias_x": self.bias_x, "bias_x_se": self.bias_x_se,
-            "bias_y": self.bias_y, "bias_y_se": self.bias_y_se,
-            "boundary_split": self.boundary_split,
-            "coverage": self.coverage, "coverage_level": self.coverage_level,
-        }
+        return asdict(self)
 
 
 def monte_carlo(design: BivariateDesign, params: JointBernoulliParams,

@@ -218,6 +218,7 @@ def _tv(approx_pmf, exact_pmf):
                   + abs(approx_pmf.continue_mass - exact_pmf.continue_mass))
 
 
+@pytest.mark.slow
 def test_criterion_08_asymptotics():
     # (a) pmf approximation error falls as the alternatives tighten
     tvs = {}

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -311,7 +312,7 @@ class TestExitCodes:
         code, _ = run_cli(command, "--design", str(bad),
                           "--theta-x", "0.1", "--theta-y", "0.2")
         assert code == 2
-        assert "x.n_star must be an integer" in capsys.readouterr().err
+        assert "'x.n_star' must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("side, field, value", [
         ("x", "alpha_tilde", "abc"), ("y", "beta", None),
@@ -331,8 +332,47 @@ class TestExitCodes:
                             "--input", str(events))}[command]
         code, out = run_cli(command, "--design", str(bad), *argv)
         assert (code, out) == (2, "")
-        assert f"{side}.{field} must be a number in (0, 0.5)" in capsys.readouterr().err
+        assert f"'{side}.{field}' must be a number" in capsys.readouterr().err
         assert not (tmp_path / "state.json").exists()
+
+    @pytest.mark.parametrize("document", ["design", "params", "table", "state", "event"])
+    def test_deeply_nested_json(self, design_file, tmp_path, capsys, document):
+        deep = "[" * 100_000 + "]" * 100_000 + "\n"
+        path = tmp_path / "deep.json"
+        path.write_text(deep)
+        argv = {"design": ("power", "--design", str(path), "--theta-x", "0.1", "--theta-y", "0.2"),
+                "params": ("power", "--design", design_file, "--params", str(path)),
+                "table": ("analyze", "--table", str(path)),
+                "state": ("monitor", "--design", design_file, "--state", str(path),
+                          "--input", os.devnull),
+                "event": ("monitor", "--design", design_file,
+                          "--state", str(tmp_path / "state.json"), "--input", str(path))}
+        code, out = run_cli(*argv[document])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith(f"error: {document}")
+        assert path.read_text() == deep
+
+    @pytest.mark.parametrize("field, value", [
+        ("version", True), ("last_seq", 2.0), ("n00", 2.0),
+    ])
+    def test_rejected_state_file_unchanged(self, design_file, tmp_path, capsys,
+                                           field, value):
+        state = tmp_path / "state.json"
+        events = tmp_path / "ev.jsonl"
+        events.write_text("".join(json.dumps({"seq": s, "x": 0, "y": 0}) + "\n"
+                                  for s in (1, 2)))
+        assert run_cli("monitor", "--design", design_file, "--state", str(state),
+                       "--input", str(events))[0] == 0
+        doc = json.loads(state.read_text())
+        (doc["counts"] if field == "n00" else doc)[field] = value
+        state.write_text(json.dumps(doc, indent=2))
+        before = state.read_bytes()
+        events.write_text(json.dumps({"seq": 3, "x": 1, "y": 0}) + "\n")
+        code, out = run_cli("monitor", "--design", design_file, "--state", str(state),
+                            "--input", str(events))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err.startswith("error: corrupt state document")
+        assert state.read_bytes() == before
 
     def test_missing_design_file(self):
         code, _ = run_cli("power", "--design", "/nonexistent/d.json",
@@ -439,16 +479,21 @@ def _main_exit(*argv):
                           "rho": st.floats(-1.1, 1.1)}),
        table=_documents(dict.fromkeys(("n00", "n10", "n01", "n11"), st.integers(-1, 40))),
        events=st.lists(_documents({"seq": st.integers(1, 2), "x": st.integers(0, 2),
-                                   "y": st.integers(0, 2)}), min_size=1, max_size=4))
-def test_fuzz_input_documents(params, table, events):
-    """Whatever JSON the params, table and event documents hold, the CLI
-    answers or exits 2 with a message, never with a traceback."""
+                                   "y": st.integers(0, 2)}), min_size=1, max_size=4),
+       raw=st.fixed_dictionaries({}, optional=dict.fromkeys(("design", "params", "table"),
+                                                            st.binary(max_size=40))))
+def test_fuzz_input_documents(params, table, events, raw):
+    """Whatever JSON the params, table and event documents hold, and whatever
+    bytes ``raw`` puts in the design, params and table files, the CLI answers
+    or exits 2 with a message, never with a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "design.json").write_text(json.dumps(make_design(20, 3, 2).to_dict()))
         (tmp / "params.json").write_text(json.dumps(params))
         (tmp / "table.json").write_text(json.dumps(table))
         (tmp / "ev.jsonl").write_text("".join(json.dumps(e) + "\n" for e in events))
+        for name, data in raw.items():
+            (tmp / f"{name}.json").write_bytes(data)
         for argv in (("power", "--design", str(tmp / "design.json"),
                       "--params", str(tmp / "params.json")),
                      ("analyze", "--table", str(tmp / "table.json")),
@@ -502,3 +547,51 @@ def test_fuzz_design_documents(edits, cells, split):
                 state = state_load(json.loads((tmp / "state.json").read_text()))
                 assert (state.last_seq, state.s_x, state.s_y, state.status) == \
                     (last["seq"], last["s_x"], last["s_y"], last["status"])
+
+
+_STATE_FIELDS = [("version",), ("last_seq",), ("status",), ("design_hash",)] \
+    + [("counts", c) for c in ("n00", "n10", "n01", "n11")]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(edits=st.dictionaries(st.sampled_from(_STATE_FIELDS),
+                             _JSON_VALUES | st.integers(0, 6)
+                             # the saved values (1, 3 and 0) as floats or booleans
+                             | st.sampled_from([False, True, 0.0, 1.0, 3.0])
+                             | st.sampled_from(["open", "exhausted", "rejected_x"]),
+                             max_size=3),
+       cell=st.tuples(st.integers(0, 1), st.integers(0, 1)))
+def test_fuzz_state_documents(edits, cell):
+    """Whatever JSON the fields of a saved mid-stream state hold, ``monitor``
+    answers the next event or exits 2 with a message.  A state file it
+    writes loads, holds integer counts and last_seq, and matches the record
+    written, or the state it resumed from when it wrote none."""
+    with tempfile.TemporaryDirectory() as tmp:
+        design, state, events = (str(Path(tmp) / name)
+                                 for name in ("design.json", "state.json", "ev.jsonl"))
+        argv = ("monitor", "--design", design, "--state", state, "--input", events)
+        Path(design).write_text(json.dumps(make_design(10, 3, 3).to_dict()))
+        Path(events).write_text("".join(json.dumps({"seq": i + 1, "x": x, "y": y}) + "\n"
+                                        for i, (x, y) in enumerate([(0, 0), (1, 0), (0, 1)])))
+        assert _main_exit(*argv)[0] == 0
+        doc = json.loads(Path(state).read_text())
+        for *parents, leaf in edits:
+            (doc[parents[0]] if parents else doc)[leaf] = edits[(*parents, leaf)]
+        Path(state).write_text(json.dumps(doc, indent=2))
+        before = Path(state).read_bytes()
+        Path(events).write_text(json.dumps({"seq": 4, "x": cell[0], "y": cell[1]}) + "\n")
+        code, out, err = _main_exit(*argv)
+        assert code in (0, 2), (code, err)
+        assert "Traceback" not in err
+        assert code == 0 or err.startswith("error:")
+        after = Path(state).read_bytes()
+        if code == 0 or after != before:
+            saved = json.loads(after)
+            assert all(type(v) is int for v in (saved["last_seq"], *saved["counts"].values()))
+            loaded = state_load(saved)
+            if code == 0:
+                record = json.loads(out)
+                assert (loaded.last_seq, loaded.s_x, loaded.s_y, loaded.status) == \
+                    (record["seq"], record["s_x"], record["s_y"], record["status"])
+            else:
+                assert loaded == state_load(json.loads(before))

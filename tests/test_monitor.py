@@ -174,3 +174,35 @@ class TestSaveLoad:
     def test_corrupt_document_rejected(self):
         with pytest.raises(MonitorStateError):
             state_load({"version": 1})
+
+    @pytest.mark.parametrize("edits", [
+        {"last_seq": 0.9},
+        {"last_seq": True, "counts.n00": True},
+        {"version": True},
+        {"version": 1.0},
+        {"counts.n10": 0.5, "counts.n01": 0.5, "last_seq": 1},
+    ])
+    def test_field_types_checked(self, edits):
+        # each of these loaded before, as a count or seq of the wrong type
+        doc = state_save(MonitorState.fresh(make_design(10, 2, 2)))
+        with pytest.raises(MonitorStateError, match="must be an integer"):
+            state_load(_edited(doc, edits))
+
+    @pytest.mark.parametrize("field", ["last_seq", "counts.n00", "design.x.n_star",
+                                       "design.x.alpha_tilde", "design.x.theta1"])
+    def test_huge_integer_rejected(self, field):
+        doc = state_save(MonitorState.fresh(make_design(10, 2, 2)))
+        with pytest.raises(MonitorStateError):
+            state_load(_edited(doc, {field: 10 ** 400}))
+
+
+def _edited(doc: dict, edits: dict) -> dict:
+    """A copy of ``doc`` with each dotted field path set to its value."""
+    doc = copy.deepcopy(doc)
+    for path, value in edits.items():
+        *parents, leaf = path.split(".")
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[leaf] = value
+    return doc
