@@ -47,7 +47,6 @@ from .exact_engine import (
     variance_cv,
 )
 from .asymptotic_engine import (
-    GutLaw,
     boundary_hit_probs,
     estimator_expectation_asymptotic,
     gut_params,

@@ -14,12 +14,14 @@ eta^2 = tx ty (tx + ty - 2 p11) > 0.  Summing the per-m slab probabilities of
 the two crossing laws approximates the stopping-time pmf; the corner mass is
 dropped, being asymptotically negligible.  Ratio integrands (k+1)/M and S/M
 are evaluated on the integer stopping-time grid, with the count coordinate
-integrated in closed form inside each slab.
+integrated in closed form inside each slab.  The engine keeps these normal
+integrals for the last (design, params) point, which the pmf and both
+estimators read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,16 +29,9 @@ from .design import BivariateDesign
 from .errors import DegenerateCovarianceError
 from .exact_engine import StoppingPmf
 from .params import JointBernoulliParams
-from .special_functions import (
-    BivariateNormalParams,
-    bvn_cdf,
-    bvn_rect,
-    norm_cdf,
-    norm_pdf,
-)
+from .special_functions import BivariateNormalParams, bvn_cdf, norm_cdf, norm_pdf
 
 __all__ = [
-    "GutLaw",
     "gut_params",
     "terminal_count_law",
     "stopping_pmf_asymptotic",
@@ -46,20 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GutLaw:
-    """First-passage normal law at one boundary: (other-margin count, M)."""
-
-    which_boundary: str
-    mean: np.ndarray
-    cov: np.ndarray
-
-    @property
-    def normal(self) -> BivariateNormalParams:
-        return BivariateNormalParams(mean=self.mean, cov=self.cov)
-
-
-def gut_params(params: JointBernoulliParams, k: int, which: str) -> GutLaw:
+def gut_params(params: JointBernoulliParams, k: int, which: str) -> BivariateNormalParams:
     """First-passage law for the boundary at critical value k.
 
     ``which`` selects the crossing margin ('x' or 'y'); the law's first
@@ -81,7 +63,7 @@ def gut_params(params: JointBernoulliParams, k: int, which: str) -> GutLaw:
     mean = np.array([ty / tx * (k + 1), (k + 1) / tx])
     cov = (k + 1) / tx ** 2 * np.array(
         [[ty * (tx + ty - 2 * p11), ty - p11], [ty - p11, 1 - tx]])
-    return GutLaw(which_boundary=which, mean=mean, cov=cov)
+    return BivariateNormalParams(mean=mean, cov=cov)
 
 
 def terminal_count_law(n_star: int, params: JointBernoulliParams) -> BivariateNormalParams:
@@ -94,36 +76,39 @@ def terminal_count_law(n_star: int, params: JointBernoulliParams) -> BivariateNo
     )
 
 
-def _standardized(law: BivariateNormalParams):
-    s = law.sigmas
-    return law.mean, s, law.corr
+def _lower_orthant(law: BivariateNormalParams, u: float, w):
+    """(P(U <= u, W <= w), E[U; U <= u, W <= w]) under the normal law of
+    (U, W).  For an array of w edges, the two quantities of each slab
+    W in (w[i], w[i+1]]."""
+    mean, s, r = law.mean, law.sigmas, law.corr
+    a = (u - mean[0]) / s[0]
+    b = (w - mean[1]) / s[1]
+    p = bvn_cdf(a, b, r)
+    # E[Z; Z <= a, W <= b] for the standardized pair
+    q = np.sqrt(1.0 - r * r)
+    ez = -norm_pdf(a) * norm_cdf((b - r * a) / q) - r * norm_pdf(b) * norm_cdf((a - r * b) / q)
+    if np.ndim(w):
+        p, ez = np.diff(p), np.diff(ez)
+    return p, mean[0] * p + s[0] * ez
 
 
-def _slab_probs(law: BivariateNormalParams, u_hi: float, w_edges: np.ndarray) -> np.ndarray:
-    """P(U <= u_hi, W in (w_edges[i], w_edges[i+1]]) for consecutive edges."""
-    mean, s, r = _standardized(law)
-    a = (u_hi - mean[0]) / s[0]
-    b = (w_edges - mean[1]) / s[1]
-    cdf = bvn_cdf(a, b, r)
-    return np.diff(cdf)
-
-
-def _ez_lower(a, b, r):
-    """E[Z 1(Z <= a, W <= b)] for standard bivariate normal (Z, W)."""
-    s = np.sqrt(1.0 - r * r)
-    return -norm_pdf(a) * norm_cdf((b - r * a) / s) \
-        - r * norm_pdf(b) * norm_cdf((a - r * b) / s)
-
-
-def _slab_first_moment(law: BivariateNormalParams, u_hi: float,
-                       w_edges: np.ndarray) -> np.ndarray:
-    """E[U ; U <= u_hi, W in slab] for the consecutive w slabs."""
-    mean, s, r = _standardized(law)
-    a = (u_hi - mean[0]) / s[0]
-    b = (w_edges - mean[1]) / s[1]
-    p = np.diff(bvn_cdf(a, b, r))
-    ez = np.diff(_ez_lower(a, b, r))
-    return mean[0] * p + s[0] * ez
+@lru_cache(maxsize=1)
+def _law(n_star: int, k_x: int, k_y: int, params: JointBernoulliParams):
+    """(support, slabs, curtailed) at one point.  ``slabs`` holds, for the X
+    and then the Y boundary, the per-m slab probabilities of the crossing
+    law and the slab first moments of the other margin's count;
+    ``curtailed`` holds, for margin X and then Y, P(no rejection) and
+    E[S; no rejection].  Callers share the read-only support."""
+    support = np.arange(min(k_x, k_y) + 1, n_star + 1)
+    support.flags.writeable = False
+    edges = np.concatenate([[support[0] - 0.5], support + 0.5])
+    law_x, law_y = gut_params(params, k_x, "x"), gut_params(params, k_y, "y")
+    slabs = (_lower_orthant(law_x, k_y + 0.5, edges), _lower_orthant(law_y, k_x + 0.5, edges))
+    # margin Y on the swapped law: bvn_cdf(h, k) and bvn_cdf(k, h) may differ in the last bit
+    curtailed = (
+        _lower_orthant(terminal_count_law(n_star, params), k_x + 0.5, k_y + 0.5),
+        _lower_orthant(terminal_count_law(n_star, params.swapped()), k_y + 0.5, k_x + 0.5))
+    return support, slabs, curtailed
 
 
 def stopping_pmf_asymptotic(design: BivariateDesign,
@@ -134,17 +119,10 @@ def stopping_pmf_asymptotic(design: BivariateDesign,
     probability of the terminal-count law, so the total may differ from 1 by
     the approximation error.
     """
-    n_star, k_x, k_y = design.n_star, design.k_x, design.k_y
-    support = np.arange(design.k_lower + 1, n_star + 1)
-    edges = np.concatenate([[support[0] - 0.5], support + 0.5])
-    law_x = gut_params(params, k_x, "x").normal
-    law_y = gut_params(params, k_y, "y").normal
-    mass_x = np.maximum(_slab_probs(law_x, k_y + 0.5, edges), 0.0)
-    mass_y = np.maximum(_slab_probs(law_y, k_x + 0.5, edges), 0.0)
-    cont = bvn_rect(terminal_count_law(n_star, params),
-                    (-np.inf, -np.inf), (k_x + 0.5, k_y + 0.5))
+    support, ((p_x, _), (p_y, _)), ((cont, _), _) = _law(
+        design.n_star, design.k_x, design.k_y, params)
     return StoppingPmf(
-        support=support, mass_x=mass_x, mass_y=mass_y,
+        support=support, mass_x=np.maximum(p_x, 0.0), mass_y=np.maximum(p_y, 0.0),
         mass_corner=np.zeros(len(support)), continue_mass=float(cont),
     )
 
@@ -158,8 +136,8 @@ def power_asymptotic(design: BivariateDesign, params: JointBernoulliParams,
     n_star+0.5.
     """
     if form == "curtailed-normal":
-        cont = bvn_rect(terminal_count_law(design.n_star, params),
-                        (-np.inf, -np.inf), (design.k_x + 0.5, design.k_y + 0.5))
+        cont, _ = _lower_orthant(terminal_count_law(design.n_star, params),
+                                 design.k_x + 0.5, design.k_y + 0.5)
         return float(min(max(1.0 - cont, 0.0), 1.0))
     if form == "gut":
         hit_x, hit_y = boundary_hit_probs(design, params)
@@ -170,11 +148,11 @@ def power_asymptotic(design: BivariateDesign, params: JointBernoulliParams,
 def boundary_hit_probs(design: BivariateDesign,
                        params: JointBernoulliParams) -> tuple[float, float]:
     """Approximate (P(X boundary first), P(Y boundary first)) by n_star."""
-    law_x = gut_params(params, design.k_x, "x").normal
-    law_y = gut_params(params, design.k_y, "y").normal
+    law_x = gut_params(params, design.k_x, "x")
+    law_y = gut_params(params, design.k_y, "y")
     hi = design.n_star + 0.5
-    p_x = bvn_rect(law_x, (-np.inf, -np.inf), (design.k_y + 0.5, hi))
-    p_y = bvn_rect(law_y, (-np.inf, -np.inf), (design.k_x + 0.5, hi))
+    p_x, _ = _lower_orthant(law_x, design.k_y + 0.5, hi)
+    p_y, _ = _lower_orthant(law_y, design.k_x + 0.5, hi)
     return float(p_x), float(p_y)
 
 
@@ -191,20 +169,9 @@ def estimator_expectation_asymptotic(design: BivariateDesign,
     """
     if margin not in ("x", "y"):
         raise ValueError("margin must be 'x' or 'y'")
-    n_star, k_own, k_other = design.n_star, design.k_x, design.k_y
-    if margin == "y":
-        params, k_own, k_other = params.swapped(), k_other, k_own
-    support = np.arange(design.k_lower + 1, n_star + 1).astype(float)
-    edges = np.concatenate([[support[0] - 0.5], support + 0.5])
-    own_law = gut_params(params, k_own, "x").normal
-    other_law = gut_params(params, k_other, "y").normal
-
-    # curtailed: E[count ; count <= own cap, other count <= other cap] / n*
-    mean, s, r = _standardized(terminal_count_law(n_star, params))
-    a = (k_own + 0.5 - mean[0]) / s[0]
-    b = (k_other + 0.5 - mean[1]) / s[1]
-    curt = (mean[0] * bvn_cdf(a, b, r) + s[0] * _ez_lower(a, b, r)) / n_star
-
-    own = ((k_own + 1) / support * _slab_probs(own_law, k_other + 0.5, edges)).sum()
-    other = (_slab_first_moment(other_law, k_own + 0.5, edges) / support).sum()
-    return float(curt + own + other)
+    support, slabs, curtailed = _law(design.n_star, design.k_x, design.k_y, params)
+    side = "xy".index(margin)
+    (own, _), (_, other) = slabs[side], slabs[1 - side]
+    k_own = (design.k_x, design.k_y)[side]
+    curt = curtailed[side][1] / design.n_star
+    return float(curt + ((k_own + 1) / support * own).sum() + (other / support).sum())

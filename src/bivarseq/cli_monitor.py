@@ -360,8 +360,12 @@ def _cmd_monitor(args, out: TextIO) -> int:
             if not line.strip():
                 continue
             what = f"event line {number}"
-            event = Event(**_flat_fields(_parse_json(line, what), what,
-                                         dict.fromkeys(("seq", "x", "y"), int)))
+            fields = _flat_fields(_parse_json(line, what), what,
+                                  dict.fromkeys(("seq", "x", "y"), int))
+            try:
+                event = Event(**fields)
+            except ValueError as exc:
+                raise ValueError(f"{what}: {exc}") from None
             new_state, record = monitor_step(state, event)
             out.write(json.dumps(record) + "\n")
             state = new_state

@@ -141,7 +141,11 @@ class BivariateDesign:
                 if not 0.0 < sides[side][f] < 0.5:
                     raise ValueError(f"design document: field '{side}.{f}' must be "
                                      f"a number in (0, 0.5), not {sides[side][f]!r}")
-        return cls(x=MarginalDesign(**sides["x"]), y=MarginalDesign(**sides["y"]))
+            try:
+                sides[side] = MarginalDesign(**sides[side])
+            except ValueError as exc:
+                raise ValueError(f"design document: field {side!r}: {exc}") from None
+        return cls(**sides)
 
 
 _MARGIN_FIELDS = {"alpha_tilde": float, "beta": float, "theta0": float, "theta1": float,
@@ -194,6 +198,11 @@ def critical_value_for_n(alpha_tilde: float, theta0: float, n: int,
     return _round(raw, rounding)
 
 
+# Steps of the exact-refine walk: the approximation's N falls short of the
+# exact N by about 6000 near N = 1e8, so larger designs end in a ValueError.
+_REFINE_STEPS = 10_000
+
+
 def design_marginal(alpha_tilde: float, beta: float, theta0: float, theta1: float,
                     method: str = "approx", rounding: str = "nearest") -> MarginalDesign:
     """Size one margin.
@@ -201,7 +210,7 @@ def design_marginal(alpha_tilde: float, beta: float, theta0: float, theta1: floa
     ``method="approx"`` uses the closed normal-approximation formulas;
     ``method="exact-refine"`` starts from the approximation minus 5 and walks
     N upward to the smallest sample size at which some critical value meets
-    both binomial constraints exactly.
+    both binomial constraints exactly, for at most ``_REFINE_STEPS`` steps.
     """
     if not (0.0 < alpha_tilde < 0.5 and 0.0 < beta < 0.5):
         raise ValueError("alpha_tilde and beta must lie in (0, 0.5)")
@@ -221,12 +230,13 @@ def design_marginal(alpha_tilde: float, beta: float, theta0: float, theta1: floa
     if method == "approx":
         return MarginalDesign(alpha_tilde, beta, theta0, theta1, n, k)
 
-    n_try = max(n - 5, 1)
-    while True:
+    start = max(n - 5, 1)
+    for n_try in range(start, start + _REFINE_STEPS):
         k_try = _smallest_valid_k(alpha_tilde, theta0, n_try)
         if k_try is not None and binom_cdf(k_try, n_try, theta1) <= beta:
             return MarginalDesign(alpha_tilde, beta, theta0, theta1, n_try, k_try)
-        n_try += 1
+    raise ValueError(f"exact-refine found no (N, k) meeting both binomial constraints "
+                     f"in {_REFINE_STEPS} sample sizes from N = {start}")
 
 
 def _smallest_valid_k(alpha_tilde: float, theta0: float, n: int):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bivarseq import (
+    BivariateNormalParams,
     DegenerateCovarianceError,
     boundary_hit_probs,
     condition_a_bounds,
@@ -19,6 +20,7 @@ from bivarseq import (
     stopping_pmf_asymptotic,
     stopping_pmf_exact,
 )
+from bivarseq import asymptotic_engine
 from conftest import make_design
 
 
@@ -33,6 +35,7 @@ class TestGutLaw:
     def test_mean_formula(self):
         params = make_params(0.1, 0.2, 0.0)
         law = gut_params(params, 18, "x")
+        assert isinstance(law, BivariateNormalParams)
         np.testing.assert_allclose(law.mean, [38.0, 190.0], atol=1e-12)
 
     def test_cov_entries(self):
@@ -83,6 +86,52 @@ class TestGutLaw:
         emp_cov = np.cov(out.T)
         np.testing.assert_allclose(emp_mean, law.mean, rtol=0.02)
         np.testing.assert_allclose(emp_cov, law.cov, rtol=0.02)
+
+
+class TestOneLaw:
+    def test_one_law_per_point(self, monkeypatch):
+        """The pmf and both estimators at one point evaluate each boundary's
+        stopping-time grid once, and the shared support cannot be written."""
+        grids = []
+        cdf = asymptotic_engine.bvn_cdf
+
+        def counting_cdf(h, k, rho):
+            if np.ndim(h) or np.ndim(k):
+                grids.append(rho)
+            return cdf(h, k, rho)
+
+        monkeypatch.setattr(asymptotic_engine, "bvn_cdf", counting_cdf)
+        asymptotic_engine._law.cache_clear()
+        design = make_design(121, 19, 18)
+
+        def report(params):
+            pmf = stopping_pmf_asymptotic(design, params)
+            return ([arr.copy() for arr in (pmf.support, pmf.mass_x, pmf.mass_y,
+                                            pmf.mass_corner)],
+                    pmf.continue_mass,
+                    estimator_expectation_asymptotic(design, params, "x"),
+                    estimator_expectation_asymptotic(design, params, "y"))
+
+        first_point, second_point = make_params(0.1, 0.2, 0.1), make_params(0.12, 0.11, -0.05)
+        before = report(first_point)
+        assert len(grids) == 2
+        report(second_point)
+        assert len(grids) == 4
+        pmf = stopping_pmf_asymptotic(design, first_point)
+        with pytest.raises(ValueError):
+            pmf.support[0] = 1
+        after = report(first_point)
+        for old, new in zip(before[0], after[0]):
+            np.testing.assert_array_equal(old, new)
+        assert before[1:] == after[1:]
+
+    def test_power_and_hits_build_no_law(self, fig_design):
+        asymptotic_engine._law.cache_clear()
+        params = make_params(0.1, 0.2, 0.1)
+        power_asymptotic(fig_design, params)
+        power_asymptotic(fig_design, params, form="gut")
+        boundary_hit_probs(fig_design, params)
+        assert asymptotic_engine._law.cache_info().misses == 0
 
 
 class TestStoppingPmf:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,43 @@ class TestExitCodes:
                           "--theta-x", "0.1", "--theta-y", "0.2")
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("side, field, value, fragment", [
+        ("x", "theta0", 0.5, "need 0 < theta0 < theta1 < 1"),
+        ("y", "k_star", 500, "need 0 <= k_star < n_star"),
+    ])
+    def test_design_margin_names_side(self, design_file, tmp_path, capsys,
+                                      side, field, value, fragment):
+        doc = json.loads(Path(design_file).read_text())
+        doc[side][field] = value
+        bad = tmp_path / "design.json"
+        bad.write_text(json.dumps(doc))
+        code, out = run_cli("power", "--design", str(bad),
+                            "--theta-x", "0.1", "--theta-y", "0.2")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == \
+            f"error: design document: field '{side}': {fragment}\n"
+
+    def test_exact_refine_walk_is_bounded(self, capsys):
+        # the walk would take about 590 000 steps to reach N near 9.5e11
+        start = time.perf_counter()
+        code, out = run_cli("design", "--alpha", "0.05", "--beta", "0.1",
+                            "--theta-x0", "0.1", "--theta-x1", "0.100001",
+                            "--theta-y0", "0.1", "--theta-y1", "0.2", "--exact-refine")
+        assert (code, out) == (2, "")
+        assert time.perf_counter() - start < 5.0
+        assert "sample sizes from N = " in capsys.readouterr().err
+
+    def test_monitor_event_indicator_names_line(self, design_file, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        events = tmp_path / "ev.jsonl"
+        events.write_text(json.dumps({"seq": 1, "x": 2, "y": 0}) + "\n")
+        code, out = run_cli("monitor", "--design", design_file,
+                            "--state", str(state), "--input", str(events))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == \
+            "error: event line 1: event indicators must be 0 or 1\n"
+        assert json.loads(state.read_text())["last_seq"] == 0
 
     def test_monitor_event_missing_keys(self, design_file, tmp_path, capsys):
         events = tmp_path / "ev.jsonl"

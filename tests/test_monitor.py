@@ -171,6 +171,13 @@ class TestSaveLoad:
         with pytest.raises(MonitorStateError, match="x.alpha_tilde"):
             state_load(state_save(MonitorState.fresh(bad)))
 
+    @pytest.mark.parametrize("side, field, value", [("x", "theta0", 0.5), ("y", "k_star", 10)])
+    def test_design_margin_error_names_side(self, side, field, value):
+        doc = state_save(MonitorState.fresh(make_design(10, 2, 2)))
+        doc["design"][side][field] = value
+        with pytest.raises(MonitorStateError, match=f"design document: field '{side}': need"):
+            state_load(doc)
+
     def test_corrupt_document_rejected(self):
         with pytest.raises(MonitorStateError):
             state_load({"version": 1})
