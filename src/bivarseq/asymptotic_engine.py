@@ -16,7 +16,9 @@ dropped, being asymptotically negligible.  Ratio integrands (k+1)/M and S/M
 are evaluated on the integer stopping-time grid, with the count coordinate
 integrated in closed form inside each slab.  The engine keeps these normal
 integrals for the last (design, params) point, which the pmf and both
-estimators read.
+estimators read.  A point whose normal laws are singular in float64 (|rho|
+one ulp below 1, or a law correlation that rounds to +-1) raises
+:class:`DegenerateCovarianceError` naming (theta_x, theta_y, rho).
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ __all__ = [
     "estimator_expectation_asymptotic",
 ]
 
+# the gap below 1.0: at 1 - |rho| <= this, 1 - rho^2 is one rounding error
+_RHO_ULP = np.finfo(float).epsneg
+
 
 def gut_params(params: JointBernoulliParams, k: int, which: str) -> BivariateNormalParams:
     """First-passage law for the boundary at critical value k.
@@ -50,30 +55,48 @@ def gut_params(params: JointBernoulliParams, k: int, which: str) -> BivariateNor
     """
     if which not in ("x", "y"):
         raise ValueError("which must be 'x' or 'y'")
-    if which == "y":
-        params = params.swapped()
-    tx, ty, p11 = params.theta_x, params.theta_y, params.p11
+    oriented = params.swapped() if which == "y" else params
+    tx, ty, p11 = oriented.theta_x, oriented.theta_y, oriented.p11
     # tx + ty - 2 p11 = 0 only at the perfect-overlap corner tx = ty = p11;
     # values below 1e-9 are float shadows of that corner and equally unusable
     if tx + ty - 2.0 * p11 <= 1e-9:
-        raise DegenerateCovarianceError(
-            f"degenerate first-passage law: tx + ty - 2 p11 = "
-            f"{tx + ty - 2 * p11:.3g} must be positive"
-        )
+        raise _degenerate(params, f"degenerate first-passage law: tx + ty - 2 p11 = "
+                                  f"{tx + ty - 2 * p11:.3g} must be positive")
     mean = np.array([ty / tx * (k + 1), (k + 1) / tx])
     cov = (k + 1) / tx ** 2 * np.array(
         [[ty * (tx + ty - 2 * p11), ty - p11], [ty - p11, 1 - tx]])
-    return BivariateNormalParams(mean=mean, cov=cov)
+    return _normal_law(params, mean, cov)
 
 
 def terminal_count_law(n_star: int, params: JointBernoulliParams) -> BivariateNormalParams:
     """Normal approximation of (S^x, S^y) after n_star observations."""
     tx, ty = params.theta_x, params.theta_y
     off = n_star * (params.p11 - tx * ty)
-    return BivariateNormalParams(
-        mean=np.array([n_star * tx, n_star * ty]),
+    return _normal_law(
+        params, mean=np.array([n_star * tx, n_star * ty]),
         cov=np.array([[n_star * tx * (1 - tx), off], [off, n_star * ty * (1 - ty)]]),
     )
+
+
+def _degenerate(params: JointBernoulliParams, why: str) -> DegenerateCovarianceError:
+    return DegenerateCovarianceError(
+        f"no usable normal law at (theta_x, theta_y, rho) = ({params.theta_x:.17g}, "
+        f"{params.theta_y:.17g}, {params.rho:.17g}): {why}")
+
+
+def _normal_law(params: JointBernoulliParams, mean, cov) -> BivariateNormalParams:
+    """N(mean, cov) at the point ``params``, refused where it is singular in
+    float64: |rho| one ulp below 1, the closest :func:`make_params` allows,
+    or a correlation that rounds to +-1, which bvn_cdf cannot take."""
+    if 1.0 - abs(params.rho) <= _RHO_ULP:
+        raise _degenerate(params, "|rho| is within one ulp of 1")
+    try:
+        law = BivariateNormalParams(mean=mean, cov=cov)
+    except DegenerateCovarianceError as exc:
+        raise _degenerate(params, str(exc)) from None
+    if not abs(law.corr) < 1.0:
+        raise _degenerate(params, f"its correlation rounds to {law.corr:.17g}")
+    return law
 
 
 def _lower_orthant(law: BivariateNormalParams, u: float, w):

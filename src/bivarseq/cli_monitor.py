@@ -363,10 +363,11 @@ def _cmd_monitor(args, out: TextIO) -> int:
             fields = _flat_fields(_parse_json(line, what), what,
                                   dict.fromkeys(("seq", "x", "y"), int))
             try:
-                event = Event(**fields)
+                new_state, record = monitor_step(state, Event(**fields))
+            except (SequencingError, MonitorStateError) as exc:
+                raise type(exc)(f"{what}: {exc}") from None
             except ValueError as exc:
                 raise ValueError(f"{what}: {exc}") from None
-            new_state, record = monitor_step(state, event)
             out.write(json.dumps(record) + "\n")
             state = new_state
             if state.status != _OPEN:

@@ -36,6 +36,9 @@ __all__ = [
     "attained_errors",
 ]
 
+# Boundary names, indexed by hit_x + 2·hit_y.
+_BOUNDARIES = ("none", "x", "y", "corner")
+
 
 def _round(x: float, convention: str) -> int:
     if convention == "nearest":
@@ -106,6 +109,11 @@ class BivariateDesign:
     def k_y(self) -> int:
         return self.y.k_star
 
+    def _boundary_code(self, s_x, s_y):
+        """Index in ``_BOUNDARIES`` of the boundary that counts (s_x, s_y)
+        have crossed, hit_x + 2·hit_y; for ints or integer arrays."""
+        return (s_x > self.x.k_star) + 2 * (s_y > self.y.k_star)
+
     def decide(self, s_x: int, s_y: int, n: int) -> tuple[str, str]:
         """The stopping rule after n observations with side-effect counts
         (s_x, s_y): ``(decision, boundary)``.
@@ -116,10 +124,9 @@ class BivariateDesign:
         (``"not_reject"``) once n reaches n_star and continues before that,
         both with boundary ``"none"``.
         """
-        hit_x = s_x > self.x.k_star
-        hit_y = s_y > self.y.k_star
-        if hit_x or hit_y:
-            return "reject", ("corner" if hit_x and hit_y else "x" if hit_x else "y")
+        boundary = _BOUNDARIES[self._boundary_code(s_x, s_y)]
+        if boundary != "none":
+            return "reject", boundary
         if n >= self.n_star:
             return "not_reject", "none"
         return "continue", "none"

@@ -19,6 +19,7 @@ from bivarseq import (
     replicate_outcomes,
     stopping_pmf_asymptotic,
     stopping_pmf_exact,
+    terminal_count_law,
 )
 from bivarseq import asymptotic_engine
 from conftest import make_design
@@ -86,6 +87,39 @@ class TestGutLaw:
         emp_cov = np.cov(out.T)
         np.testing.assert_allclose(emp_mean, law.mean, rtol=0.02)
         np.testing.assert_allclose(emp_cov, law.cov, rtol=0.02)
+
+
+class TestSingularRho:
+    """|rho| one ulp below 1 is accepted by make_params, but the normal laws
+    there are singular in float64."""
+
+    CALLS = {
+        "terminal_count_law": lambda d, p: terminal_count_law(d.n_star, p),
+        "gut_params_x": lambda d, p: gut_params(p, d.k_x, "x"),
+        "gut_params_y": lambda d, p: gut_params(p, d.k_y, "y"),
+        "power_curtailed": lambda d, p: power_asymptotic(d, p),
+        "power_gut": lambda d, p: power_asymptotic(d, p, form="gut"),
+        "pmf": stopping_pmf_asymptotic,
+        "hits": boundary_hit_probs,
+        "estimator_x": lambda d, p: estimator_expectation_asymptotic(d, p, "x"),
+        "estimator_y": lambda d, p: estimator_expectation_asymptotic(d, p, "y"),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("point", [(0.5, 0.5, 1 - 1.1e-16), (0.5, 0.5, -(1 - 1.1e-16)),
+                                       (0.3, 0.7, -(1 - 1.1e-16))])
+    def test_raises_naming_the_point(self, fig_design, call, point):
+        params = make_params(*point)
+        asymptotic_engine._law.cache_clear()
+        named = "at (theta_x, theta_y, rho) = ({:.17g}, {:.17g}, {:.17g})".format(*point)
+        with pytest.raises(DegenerateCovarianceError) as err:
+            self.CALLS[call](fig_design, params)
+        assert named in str(err.value)
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_answers_just_off_the_singularity(self, fig_design, call):
+        asymptotic_engine._law.cache_clear()
+        self.CALLS[call](fig_design, make_params(0.5, 0.5, -(1 - 1e-12)))
 
 
 class TestOneLaw:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -22,7 +23,8 @@ from bivarseq import (
     state_load,
     stopping_pmf_exact,
 )
-from bivarseq.cli_monitor import main
+from bivarseq.cli_monitor import _cmd_monitor, main
+from bivarseq.errors import MonitorStateError, SequencingError
 from conftest import make_design
 
 
@@ -280,6 +282,28 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "error: event line 1: event indicators must be 0 or 1\n"
         assert json.loads(state.read_text())["last_seq"] == 0
+
+    def test_monitor_step_errors_name_line(self, design_file, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        events = tmp_path / "ev.jsonl"
+        events.write_text("".join(json.dumps({"seq": s, "x": 0, "y": 0}) + "\n"
+                                  for s in (1, 3)))
+        code, out = run_cli("monitor", "--design", design_file,
+                            "--state", str(state), "--input", str(events))
+        assert code == 2
+        assert [json.loads(line)["seq"] for line in out.splitlines()] == [1]
+        assert capsys.readouterr().err == "error: event line 2: expected seq 2, got 3\n"
+        assert json.loads(state.read_text())["last_seq"] == 1
+        # the error keeps its type; a closed monitor names the line too
+        args = argparse.Namespace(design=design_file, state=str(state), input=str(events))
+        with pytest.raises(SequencingError, match=r"^event line 1: expected seq 2, got 1$"):
+            _cmd_monitor(args, io.StringIO())
+        events.write_text("".join(json.dumps({"seq": s, "x": 1, "y": 1}) + "\n"
+                                  for s in range(2, 40)))
+        assert run_cli("monitor", "--design", design_file, "--state", str(state),
+                       "--input", str(events))[0] == 0
+        with pytest.raises(MonitorStateError, match=r"^event line 1: monitor is closed"):
+            _cmd_monitor(args, io.StringIO())
 
     def test_monitor_event_missing_keys(self, design_file, tmp_path, capsys):
         events = tmp_path / "ev.jsonl"

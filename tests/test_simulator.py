@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from bivarseq import simulator
 from bivarseq import (
     Event,
     SequencingError,
@@ -139,6 +141,36 @@ class TestSampleStream:
             se = (p * (1 - p) / n) ** 0.5
             assert counts[key] / n == pytest.approx(p, abs=3 * se + 1e-12)
 
+    @pytest.mark.parametrize("interned", [simulator._INTERNED_SEQS, 100])
+    def test_events_equal_fresh_events_from_same_uniforms(self, monkeypatch,
+                                                          interned):
+        """Stream r of seed s draws from Philox(key=(master(s), r)); its events
+        equal fresh Events of those uniforms' cells, those of the first
+        _INTERNED_SEQS seqs are shared between streams, and all stay frozen."""
+        monkeypatch.setattr(simulator, "_INTERNED_SEQS", interned)
+        monkeypatch.setattr(simulator, "_EVENTS", simulator._InternedEvents())
+        params = make_params(0.15, 0.3, 0.25)
+        seed, n = 5, 300
+        shared = min(n, interned)
+        master = np.random.SeedSequence(seed).generate_state(1, dtype=np.uint64)[0]
+        p00, p10, p01, _ = params.cell_probs
+        for stream in (0, 3):
+            u = np.random.Generator(np.random.Philox(
+                key=np.array([master, stream], dtype=np.uint64))).random(n)
+            cells = np.searchsorted([p00, p00 + p10, p00 + p10 + p01], u, side="right")
+            fresh = [Event(i + 1, int(c in (1, 3)), int(c in (2, 3)))
+                     for i, c in enumerate(cells.tolist())]
+            events = list(sample_stream(params, seed, n, stream=stream))
+            assert events == fresh
+            assert all(type(ev.x) is int and type(ev.y) is int for ev in events)
+        again = list(sample_stream(params, seed, n, stream=3))
+        assert all(a is b for a, b in zip(again[:shared], events))
+        assert not any(a is b for a, b in zip(again[shared:], events[shared:]))
+        assert max(simulator._EVENTS) < 4 * shared
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            events[0].x = 1 - events[0].x
+        assert list(sample_stream(params, seed, n, stream=3)) == fresh
+
     def test_zero_probability_cell_never_emitted(self):
         hi = condition_a_bounds(0.2, 0.4)[1]
         params = make_params(0.2, 0.4, hi)     # X-only cell has probability 0
@@ -239,11 +271,15 @@ class TestReplicateOutcomes:
         # (541 rows at n* = 121, 2621 at n* = 25)
         ("fig", (0.1, 0.2, 0.1), 700, 31),
         ("corner", (0.35, 0.35, 0.5), 2700, 19),
+        # the counts pass 2**15 before the stop, where sums narrower than
+        # int32 would wrap
+        ("wide", (0.9, 0.95, 0.1), 3, 11),
     ])
     def test_rows_equal_run_test(self, fig_design, which, point, reps, seed):
         """Row r is the run_test outcome of sample_stream(..., stream=r), at
         every chunking."""
-        design = fig_design if which == "fig" else make_design(25, 3, 3)
+        design = {"fig": fig_design, "corner": make_design(25, 3, 3),
+                  "wide": make_design(40_000, 36_050, 38_050)}[which]
         params = make_params(*point)
         names = ("none", "x", "y", "corner")
         expected = []
@@ -254,6 +290,9 @@ class TestReplicateOutcomes:
                              c.n00, c.n10, c.n01, c.n11))
         if which == "corner":
             assert any(row[1] == 3 for row in expected[:300])
+        if which == "wide":
+            assert design.n_star >= 2 ** 15
+            assert min(c01 + c11 for *_, c01, c11 in expected) >= 2 ** 15
         for chunk in (1, 37, 1024):
             m_star, code, table = replicate_outcomes(design, params, reps, seed,
                                                      chunk_size=chunk)
@@ -263,3 +302,17 @@ class TestReplicateOutcomes:
             got = [(m, b, *row) for m, b, row in
                    zip(m_star.tolist(), code.tolist(), table.tolist())]
             assert got == expected
+
+    @pytest.mark.parametrize("n_before_end", [1, 0])
+    def test_boundary_code_agrees_with_decide(self, n_before_end):
+        """The code hit_x + 2 hit_y that replicate_outcomes computes on arrays
+        names the boundary decide() names, for all four (hit_x, hit_y),
+        before and at n*."""
+        design = make_design(30, 4, 6)
+        n = design.n_star - n_before_end
+        s_x = np.array([4, 5, 4, 5])          # hit_x: no, yes, no, yes
+        s_y = np.array([6, 6, 7, 7])          # hit_y: no, no, yes, yes
+        code = design._boundary_code(s_x, s_y)
+        names = [simulator._BOUNDARIES[c] for c in code.tolist()]
+        assert names == [design.decide(a, b, n)[1] for a, b in zip(s_x.tolist(), s_y.tolist())]
+        assert names == ["none", "x", "y", "corner"]
