@@ -17,7 +17,6 @@ from .special_functions import (
     BivariateNormalParams,
     bvn_cdf,
     bvn_rect,
-    log_gamma,
     norm_cdf,
     norm_pdf,
     norm_quantile,

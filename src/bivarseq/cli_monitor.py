@@ -245,8 +245,6 @@ def _cmd_power(args) -> dict:
     params = _params_from_args(args)
     if args.method == "exact":
         value = exact_engine.power_exact(design, params)
-    elif args.method == "dp":
-        value = exact_engine.lattice_forward_dp(design, params).rejection_mass
     elif args.method == "gut":
         value = asymptotic_engine.power_asymptotic(design, params, form="gut")
     else:
@@ -258,8 +256,6 @@ def _cmd_power(args) -> dict:
 def _pmf_for(args, design: BivariateDesign, params: JointBernoulliParams):
     if args.method == "exact":
         return exact_engine.stopping_pmf_exact(design, params)
-    if args.method == "dp":
-        return exact_engine.lattice_forward_dp(design, params)
     return asymptotic_engine.stopping_pmf_asymptotic(design, params)
 
 
@@ -417,16 +413,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("power", help="rejection probability at given margins")
     add_param_args(p)
-    p.add_argument("--method", choices=("exact", "asymptotic", "gut", "dp"),
+    p.add_argument("--method", choices=("exact", "asymptotic", "gut"),
                    default="exact")
 
     p = sub.add_parser("asn", help="expected terminal sample size and bounds")
     add_param_args(p)
-    p.add_argument("--method", choices=("exact", "asymptotic", "dp"), default="exact")
+    p.add_argument("--method", choices=("exact", "asymptotic"), default="exact")
 
     p = sub.add_parser("pmf", help="stopping-time distribution by boundary")
     add_param_args(p)
-    p.add_argument("--method", choices=("exact", "asymptotic", "dp"), default="exact")
+    p.add_argument("--method", choices=("exact", "asymptotic"), default="exact")
 
     p = sub.add_parser("export-grid", help="power surface over a margin grid")
     p.add_argument("--design", required=True)

@@ -79,12 +79,6 @@ class MarginalDesign:
         if not (self.n_star >= 1 and 0 <= self.k_star < self.n_star):
             raise ValueError("need 0 <= k_star < n_star")
 
-    def attained_size(self) -> float:
-        return binom_sf(self.k_star, self.n_star, self.theta0)
-
-    def attained_type2(self) -> float:
-        return binom_cdf(self.k_star, self.n_star, self.theta1)
-
 
 @dataclass(frozen=True)
 class BivariateDesign:

@@ -47,6 +47,7 @@ __all__ = [
     "power_exact",
     "stopping_pmf_exact",
     "lattice_forward_dp",
+    "corner_mass_exact",
     "asn_exact",
     "asn_bounds",
     "second_moment_exact",

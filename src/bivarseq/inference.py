@@ -105,25 +105,55 @@ class RelativeRiskEstimate:
                 "ci": list(self.ci), "level": self.level}
 
 
+def _plug_in(s_x, s_y, n11, m):
+    """theta_hat_x, theta_hat_y, p11_hat, Sigma_hat and the singular flag of
+    terminal tables with margin counts s_x, s_y, both-effects count n11 and
+    size m.
+
+    Ints give one table: floats, a 2x2 Sigma_hat and a bool.  Equal-length
+    arrays give a block: arrays and an (n, 2, 2) stack.  A table is singular
+    when a margin estimate is 0 or 1 or det Sigma_hat <= 1e-14.
+    """
+    thx = s_x / m
+    thy = s_y / m
+    p11 = n11 / m
+    s12 = p11 - thx * thy
+    # Sigma_hat is symmetric, so .T only moves a block's axis to the front
+    sigma = np.array([[thx * (1.0 - thx), s12], [s12, thy * (1.0 - thy)]]).T
+    degenerate = (thx == 0.0) | (thx == 1.0) | (thy == 0.0) | (thy == 1.0)
+    singular = degenerate | (np.linalg.det(sigma) <= _SINGULAR_DET)
+    return thx, thy, p11, sigma, singular
+
+
+def _wald_covers(plug_in, m, theta_x, theta_y, level):
+    """Whether each table's Wald region at ``level`` holds (theta_x, theta_y):
+    M*(theta_hat-theta)' Sigma_hat^-1 (theta_hat-theta) <= c, for the
+    :func:`_plug_in` values of the tables.  A singular table's region is the
+    point theta_hat, and it counts as not holding theta.
+    """
+    thx, thy, _, sigma, singular = plug_in
+    s11, s12, s22 = sigma[..., 0, 0], sigma[..., 0, 1], sigma[..., 1, 1]
+    dx = thx - theta_x
+    dy = thy - theta_y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quad = m * (s22 * dx * dx - 2 * s12 * dx * dy + s11 * dy * dy) / (
+            s11 * s22 - s12 * s12)
+    return ~singular & (quad <= chi2_quantile_2df(level))
+
+
 def post_test_estimate(counts: LatticeCounts, m_star: int) -> PostTestEstimate:
     """Sample-proportion estimates from the terminal contingency table."""
     if m_star < 1:
         raise ValueError("m_star must be >= 1")
     if counts.total != m_star:
         raise ValueError(f"counts sum to {counts.total}, expected m_star={m_star}")
-    thx = counts.s_x / m_star
-    thy = counts.s_y / m_star
-    p11 = counts.n11 / m_star
-    degenerate = thx in (0.0, 1.0) or thy in (0.0, 1.0)
-    rho = float("nan") if degenerate else rho_from_p11(thx, thy, p11)
-    sigma = np.array([
-        [thx * (1.0 - thx), p11 - thx * thy],
-        [p11 - thx * thy, thy * (1.0 - thy)],
-    ])
-    singular = degenerate or float(np.linalg.det(sigma)) <= _SINGULAR_DET
+    thx, thy, p11, sigma, singular = _plug_in(counts.s_x, counts.s_y, counts.n11,
+                                              m_star)
+    inside = 0.0 < thx < 1.0 and 0.0 < thy < 1.0
+    rho = rho_from_p11(thx, thy, p11) if inside else float("nan")
     return PostTestEstimate(
         theta_hat_x=thx, theta_hat_y=thy, p11_hat=p11, rho_hat=rho,
-        m_star=m_star, sigma_hat=sigma, singular=singular,
+        m_star=m_star, sigma_hat=sigma, singular=bool(singular),
     )
 
 

@@ -31,7 +31,7 @@ import numpy as np
 from .design import _BOUNDARIES, BivariateDesign
 from .errors import SequencingError, StreamExhaustedError
 from .exact_engine import LatticeCounts
-from .inference import chi2_quantile_2df
+from .inference import _plug_in, _wald_covers
 from .params import JointBernoulliParams
 
 __all__ = [
@@ -234,6 +234,9 @@ def monte_carlo(design: BivariateDesign, params: JointBernoulliParams,
 
     The summary reduces the arrays of :func:`replicate_outcomes` in
     replicate order, so the result is identical for any ``chunk_size``.
+    Estimates and coverage use the plug-in rule of
+    :func:`~bivarseq.inference.post_test_estimate`, so a replicate whose
+    table is singular there does not cover.
     """
     m_star, code, table = replicate_outcomes(design, params, reps, seed,
                                              chunk_size)
@@ -242,15 +245,16 @@ def monte_carlo(design: BivariateDesign, params: JointBernoulliParams,
     power_se = math.sqrt(max(power * (1 - power), 0.0) / reps)
     asn = m_star.mean()
     asn_se = m_star.std(ddof=1) / math.sqrt(reps) if reps > 1 else 0.0
-    th_x = (table[:, 1] + table[:, 3]) / m_star
-    th_y = (table[:, 2] + table[:, 3]) / m_star
+    plug_in = _plug_in(table[:, 1] + table[:, 3], table[:, 2] + table[:, 3],
+                       table[:, 3], m_star)
+    th_x, th_y = plug_in[:2]
     bias_x = th_x.mean() - params.theta_x
     bias_y = th_y.mean() - params.theta_y
     bias_x_se = th_x.std(ddof=1) / math.sqrt(reps) if reps > 1 else 0.0
     bias_y_se = th_y.std(ddof=1) / math.sqrt(reps) if reps > 1 else 0.0
     split = {name: float((code == i).mean()) for i, name in enumerate(_BOUNDARIES)}
-    coverage = _ellipse_coverage(th_x, th_y, table[:, 3] / m_star, m_star,
-                                 params, level)
+    coverage = _wald_covers(plug_in, m_star, params.theta_x, params.theta_y,
+                            level).mean()
     return MonteCarloSummary(
         reps=reps, seed=seed, power=float(power), power_se=float(power_se),
         asn=float(asn), asn_se=float(asn_se),
@@ -259,20 +263,3 @@ def monte_carlo(design: BivariateDesign, params: JointBernoulliParams,
         boundary_split=split, coverage=float(coverage), coverage_level=level,
     )
 
-
-def _ellipse_coverage(th_x, th_y, p11_hat, m_star, params, level) -> float:
-    """Fraction of replicates whose Wald ellipse covers the true margins.
-
-    Replicates with a singular plug-in covariance count as non-covering.
-    """
-    c = chi2_quantile_2df(level)
-    s11 = th_x * (1 - th_x)
-    s22 = th_y * (1 - th_y)
-    s12 = p11_hat - th_x * th_y
-    det = s11 * s22 - s12 * s12
-    dx = th_x - params.theta_x
-    dy = th_y - params.theta_y
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quad = m_star * (s22 * dx * dx - 2 * s12 * dx * dy + s11 * dy * dy) / det
-    ok = (det > 1e-300) & np.isfinite(quad) & (quad <= c)
-    return ok.mean()

@@ -1,6 +1,6 @@
-"""Numerical primitives: log-gamma, regularized incomplete beta, univariate
-and bivariate normal cdf/pdf/quantile, and rectangle probabilities for a
-general 2-d normal law.
+"""Numerical primitives: regularized incomplete beta, univariate and
+bivariate normal cdf/pdf/quantile, and rectangle probabilities for a general
+2-d normal law.
 
 Scalar special functions delegate to :mod:`scipy.special`, which meets the
 accuracy requirements of every caller in this package.  The bivariate normal
@@ -25,7 +25,6 @@ from .errors import DegenerateCovarianceError
 
 __all__ = [
     "BivariateNormalParams",
-    "log_gamma",
     "reg_inc_beta",
     "norm_cdf",
     "norm_pdf",
@@ -49,15 +48,6 @@ def _sp():
     """:mod:`scipy.special`, imported by the first call."""
     from scipy import special
     return special
-
-
-def log_gamma(x):
-    """Natural log of the gamma function for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("log_gamma requires x > 0")
-    out = _sp().gammaln(x)
-    return float(out) if out.ndim == 0 else out
 
 
 def reg_inc_beta(x, a, b):

@@ -10,17 +10,22 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bivarseq import (
+    BivariateDesign,
     LatticeCounts,
+    asn_bounds,
     asn_exact,
     confidence_region,
     make_params,
     post_test_estimate,
+    power_asymptotic,
     power_exact,
     state_load,
+    stopping_pmf_asymptotic,
     stopping_pmf_exact,
 )
 from bivarseq.cli_monitor import _cmd_monitor, main
@@ -43,6 +48,11 @@ def design_file(tmp_path_factory):
     assert code == 0
     path.write_text(payload)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def design(design_file):
+    return BivariateDesign.from_dict(json.loads(Path(design_file).read_text()))
 
 
 class TestDesignCommand:
@@ -137,6 +147,67 @@ class TestEvaluationCommands:
         assert len(rows) > 4
         powers = [float(r[2]) for r in rows[1:]]
         assert all(0.0 <= p <= 1.0 for p in powers)
+
+    _MARGINS = ("--theta-x", "0.1", "--theta-y", "0.2", "--rho", "0.1")
+
+    @staticmethod
+    def _assert_dp_refused(capsys, *argv):
+        """``argv`` with ``--method dp`` exits 2 with argparse's usage message."""
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            run_cli(*argv, "--method", "dp")
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'dp'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("method, form", [("asymptotic", "curtailed-normal"),
+                                              ("gut", "gut")])
+    def test_power_asymptotic_methods(self, design_file, design, capsys,
+                                      method, form):
+        argv = ("power", "--design", design_file, *self._MARGINS)
+        code, payload = run_cli(*argv, "--method", method)
+        assert code == 0
+        assert json.loads(payload) == {
+            "power": power_asymptotic(design, make_params(0.1, 0.2, 0.1), form=form),
+            "method": method}
+        self._assert_dp_refused(capsys, *argv)
+
+    def test_asn_asymptotic(self, design_file, design, capsys):
+        argv = ("asn", "--design", design_file, *self._MARGINS)
+        code, payload = run_cli(*argv, "--method", "asymptotic")
+        assert code == 0
+        params = make_params(0.1, 0.2, 0.1)
+        asn, _ = stopping_pmf_asymptotic(design, params).moments(design.n_star)
+        lower, upper = asn_bounds(design, params)
+        assert json.loads(payload) == {"asn": asn, "method": "asymptotic",
+                                       "lower": lower, "upper": upper}
+        self._assert_dp_refused(capsys, *argv)
+
+    def test_pmf_asymptotic(self, design_file, design, capsys):
+        argv = ("pmf", "--design", design_file, *self._MARGINS)
+        code, payload = run_cli(*argv, "--method", "asymptotic")
+        assert code == 0
+        pmf = stopping_pmf_asymptotic(design, make_params(0.1, 0.2, 0.1))
+        doc = json.loads(payload)
+        assert doc["rows"] == [[int(m), float(px), float(py), float(pc)]
+                               for m, px, py, pc in zip(pmf.support, pmf.mass_x,
+                                                        pmf.mass_y, pmf.mass_corner)]
+        assert doc["continue_mass"] == pmf.continue_mass
+        self._assert_dp_refused(capsys, *argv)
+
+    def test_export_grid_asymptotic(self, design_file, design, capsys):
+        argv = ("export-grid", "--design", design_file, "--rho", "0.1",
+                "--theta-x-min", "0.05", "--theta-x-max", "0.2",
+                "--theta-y-min", "0.1", "--theta-y-max", "0.25", "--steps", "3")
+        code, payload = run_cli(*argv, "--method", "asymptotic")
+        assert code == 0
+        grid = [(float(tx), float(ty)) for tx in np.linspace(0.05, 0.2, 3)
+                for ty in np.linspace(0.1, 0.25, 3)]
+        assert json.loads(payload)["rows"] == [
+            [tx, ty, power_asymptotic(design, make_params(tx, ty, 0.1))]
+            for tx, ty in grid]
+        self._assert_dp_refused(capsys, *argv)
 
     def test_simulate(self, design_file, tmp_path):
         streams = tmp_path / "streams"

@@ -7,17 +7,20 @@ import pytest
 from bivarseq import simulator
 from bivarseq import (
     Event,
+    LatticeCounts,
     SequencingError,
     StreamExhaustedError,
     condition_a_bounds,
     make_params,
     monte_carlo,
+    post_test_estimate,
     power_exact,
     replicate_outcomes,
     run_test,
     sample_stream,
     stopping_pmf_exact,
 )
+from bivarseq.inference import chi2_quantile_2df
 from conftest import make_design
 
 
@@ -234,6 +237,28 @@ class TestMonteCarlo:
         assert sum(summary.boundary_split.values()) == pytest.approx(1.0, abs=1e-12)
         assert summary.boundary_split["none"] == pytest.approx(
             1.0 - summary.power, abs=1e-12)
+
+    def test_coverage_uses_the_post_test_singularity_rule(self, fig_design):
+        """A replicate covers theta iff its post_test_estimate is not singular
+        and its Wald form is <= c.  At rho = 0.9 many tables have
+        n10 = n01 = 0: det Sigma_hat is 0 exactly, and in floats it is
+        rounding noise that the form must not be divided by."""
+        params = make_params(0.1, 0.1, 0.9)
+        reps, seed = 20_000, 3
+        summary = monte_carlo(fig_design, params, reps=reps, seed=seed)
+        m_star, _, table = replicate_outcomes(fig_design, params, reps, seed)
+        theta = np.array([params.theta_x, params.theta_y])
+        quad = np.full(reps, np.inf)        # singular tables never cover
+        for r in range(reps):
+            est = post_test_estimate(LatticeCounts(*map(int, table[r])), int(m_star[r]))
+            if not est.singular:
+                d = np.array([est.theta_hat_x, est.theta_hat_y]) - theta
+                quad[r] = m_star[r] * d @ np.linalg.solve(est.sigma_hat, d)
+        assert np.isinf(quad).sum() > 1000
+        c = chi2_quantile_2df(summary.coverage_level)
+        covered = round(summary.coverage * reps)
+        assert np.count_nonzero(quad <= c - 1e-9) <= covered
+        assert covered <= np.count_nonzero(quad <= c + 1e-9)
 
     def test_corner_only_from_double_threshold(self):
         """Corner stops happen iff both margins sat at their critical values

@@ -9,31 +9,12 @@ from bivarseq import (
     DegenerateCovarianceError,
     bvn_cdf,
     bvn_rect,
-    log_gamma,
     norm_cdf,
     norm_pdf,
     norm_quantile,
     reg_inc_beta,
 )
 from oracles import binom_upper_tail, bvn_quadrature
-
-
-class TestLogGamma:
-    @pytest.mark.parametrize("x, expected", [(1.0, 0.0), (2.0, 0.0),
-                                             (11.0, math.log(3628800))])
-    def test_known_values(self, x, expected):
-        assert log_gamma(x) == pytest.approx(expected, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-3.2)
-
-    def test_vectorized(self):
-        xs = np.array([1.0, 2.0, 11.0])
-        np.testing.assert_allclose(log_gamma(xs), [0.0, 0.0, math.log(3628800)],
-                                   atol=1e-12)
 
 
 class TestRegIncBeta:
