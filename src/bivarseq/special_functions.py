@@ -11,7 +11,8 @@ vectorizes over the grid arguments the engines feed it.
 
 This module is the package's only importer of scipy, and it imports
 :mod:`scipy.special` on first use: that import takes about half of a fresh
-process's start, and the monitor and Monte Carlo call none of its functions.
+process's start, and the monitor, Monte Carlo and the exact power and
+stopping law call none of its functions.
 """
 
 from __future__ import annotations

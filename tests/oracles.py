@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code paths under test: exhaustive
 path enumeration, a forward recursion over the alive lattice for the
-estimator expectations, direct binomial summation via scipy.stats, and
+estimator expectations, a direct sum over the alive triangle with scipy's
+log-gamma and binomial cdf, direct binomial summation via scipy.stats, and
 adaptive quadrature of the normal density.
 """
 
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.special import bdtr, gammaln, xlogy
 from scipy.stats import binom
 
 from bivarseq import BivariateDesign
@@ -107,6 +109,23 @@ def estimator_dp(design: BivariateDesign, cell_probs) -> tuple[float, float]:
     est_x += float((alive * a[:-1]).sum()) / n_star
     est_y += float((alive * b[:, :-1]).sum()) / n_star
     return est_x, est_y
+
+
+def alive_mass_triangle(design: BivariateDesign, cell_probs) -> float:
+    """P(S_x(n_star) <= k_x, S_y(n_star) <= k_y) summed directly over the
+    triangle of S_x = a and both-effects counts z <= a: the multinomial mass
+    from log-gamma differences times the binomial cdf (scipy's ``bdtr``) of
+    the Y-only count among the other n_star - a.  No recurrence; the
+    log-gamma differences lose accuracy as n_star grows (8.8e-13 off the
+    lattice DP at n_star = 1154).
+    """
+    n, k_x, k_y = design.n_star, design.k_x, design.k_y
+    p00, p10, p01, p11 = cell_probs
+    a, z = np.tril_indices(min(k_x, n) + 1, m=min(k_x, k_y) + 1)
+    h = np.exp(gammaln(n + 1.0) - gammaln(z + 1.0) - gammaln(a - z + 1.0)
+               - gammaln(n - a + 1.0) + xlogy(z, p11) + xlogy(a - z, p10)
+               + xlogy(n - a, p00 + p01))
+    return float((h * bdtr(np.minimum(k_y - z, n - a), n - a, p01 / (p00 + p01))).sum())
 
 
 def independent_margins_pmf(design: BivariateDesign, theta_x: float, theta_y: float):

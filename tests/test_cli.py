@@ -529,6 +529,16 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["n_star"] == 121
 
+    def test_package_runs_as_a_module_without_warnings(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bivarseq", "design",
+             "--alpha", "0.05", "--beta", "0.1",
+             "--theta-x0", "0.05", "--theta-x1", "0.1",
+             "--theta-y0", "0.1", "--theta-y1", "0.2"],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["n_star"] == 121
+
 
 def _fresh_python(script, *args):
     """Stdout of ``script`` run in a new interpreter with ``args`` as sys.argv[1:]."""
@@ -538,10 +548,11 @@ def _fresh_python(script, *args):
 
 class TestStartup:
     """Importing scipy.special is about half of a fresh process's start; the
-    monitor and Monte Carlo call none of it, so they start without it."""
+    monitor, Monte Carlo and the exact power and pmf call none of it, so
+    they start without it."""
 
-    _POWER = ("'power', '--design', sys.argv[1], '--theta-x', '0.1', "
-              "'--theta-y', '0.2', '--rho', '0.1'")
+    _MARGINS = "'--design', sys.argv[1], '--theta-x', '0.1', '--theta-y', '0.2', '--rho', '0.1'"
+    _ASN = f"'asn', {_MARGINS}"
 
     def test_monitor_and_simulate_leave_scipy_unloaded(self, design_file, tmp_path):
         events = tmp_path / "ev.jsonl"
@@ -554,21 +565,24 @@ assert main(['monitor', '--design', sys.argv[1], '--state', sys.argv[2],
              '--input', sys.argv[3]], out=io.StringIO()) == 0
 assert main(['simulate', '--design', sys.argv[1], '--theta-x', '0.1', '--theta-y', '0.2',
              '--reps', '50', '--seed', '3'], out=io.StringIO()) == 0
+assert main(['power', {self._MARGINS}], out=io.StringIO()) == 0
+assert main(['pmf', {self._MARGINS}], out=io.StringIO()) == 0
 print('scipy' in sys.modules)
 out = io.StringIO()
-assert main([{self._POWER}], out=out) == 0
+assert main([{self._ASN}], out=out) == 0
 print('scipy' in sys.modules)
 print(out.getvalue(), end='')
 """
         lines = _fresh_python(script, design_file, str(tmp_path / "state.json"),
                               str(events)).splitlines()
         assert lines[:2] == ["False", "True"]
-        # power, the first scipy caller, prints what it prints when scipy came first
+        # asn, the first scipy caller (its bounds), prints what it prints
+        # when scipy came first
         eager = _fresh_python(f"""
 import sys
 import scipy.special
 from bivarseq.cli_monitor import main
-main([{self._POWER}])
+main([{self._ASN}])
 """, design_file)
         assert "\n".join(lines[2:]) + "\n" == eager
         assert json.loads(eager)["method"] == "exact"

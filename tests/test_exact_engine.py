@@ -1,10 +1,13 @@
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
 from bivarseq import (
+    BivariateDesign,
+    MarginalDesign,
     asn_bounds,
     asn_exact,
     condition_a_bounds,
@@ -20,7 +23,8 @@ from bivarseq import (
 )
 from bivarseq import exact_engine
 from conftest import TINY_DESIGNS, make_design
-from oracles import enumerate_paths, estimator_dp, independent_margins_pmf, tail_sum_asn
+from oracles import (alive_mass_triangle, enumerate_paths, estimator_dp,
+                     independent_margins_pmf, tail_sum_asn)
 
 # parameter points that are feasible for every tiny design below
 TINY_PARAMS = [(0.3, 0.4, 0.2), (0.25, 0.2, -0.05), (0.5, 0.3, 0.1)]
@@ -112,16 +116,25 @@ class TestDpOracle:
         ((121, 19, 18), (0.05, 0.45, condition_a_bounds(0.05, 0.45)[1])),
         ((121, 19, 18), (0.2, 0.1, condition_a_bounds(0.2, 0.1)[1])),
         ((200, 30, 25), (0.1, 0.2, condition_a_bounds(0.1, 0.2)[0])),
+        # the delta = 0.5, 0.3 and 0.2 designs, with the same three boundaries
+        ((437, 59, 55), (0.075, 0.15, 0.1)),
+        ((1154, 143, 135), (0.065, 0.13, 0.1)),
+        ((1154, 143, 135), (0.05, 0.10, -0.05)),
+        ((2522, 298, 281), (0.06, 0.12, 0.1)),
+        ((437, 59, 55), (0.075, 0.15, condition_a_bounds(0.075, 0.15)[1])),
+        ((437, 59, 55), (0.15, 0.075, condition_a_bounds(0.15, 0.075)[1])),
+        ((1154, 143, 135), (0.065, 0.13, condition_a_bounds(0.065, 0.13)[0])),
     ])
     def test_matches_closed_form(self, geom, point):
         design = make_design(*geom)
         params = make_params(*point)
         closed = stopping_pmf_exact(design, params)
         dp = lattice_forward_dp(design, params)
-        np.testing.assert_allclose(dp.mass_x, closed.mass_x, atol=1e-10)
-        np.testing.assert_allclose(dp.mass_y, closed.mass_y, atol=1e-10)
-        np.testing.assert_allclose(dp.mass_corner, closed.mass_corner, atol=1e-10)
-        assert dp.continue_mass == pytest.approx(closed.continue_mass, abs=1e-10)
+        np.testing.assert_allclose(dp.mass_x, closed.mass_x, atol=1e-13)
+        np.testing.assert_allclose(dp.mass_y, closed.mass_y, atol=1e-13)
+        np.testing.assert_allclose(dp.mass_corner, closed.mass_corner, atol=1e-13)
+        assert dp.continue_mass == pytest.approx(closed.continue_mass, abs=1e-13)
+        assert power_exact(design, params) == pytest.approx(1.0 - dp.continue_mass, abs=1e-13)
 
     @pytest.mark.parametrize("geom, point", [
         ((121, 19, 18), (0.1, 0.2, 0.1)),
@@ -134,6 +147,27 @@ class TestDpOracle:
     def test_estimator_expectations(self, geom, point):
         design = make_design(*geom)
         params = make_params(*point)
+        dp_x, dp_y = estimator_dp(design, params.cell_probs)
+        assert abs(estimator_expectation_exact(design, params, "x") - dp_x) <= 2e-14
+        assert abs(estimator_expectation_exact(design, params, "y") - dp_y) <= 2e-14
+
+    @pytest.mark.parametrize("x, y", [
+        ((10, 2), (50, 12)), ((50, 12), (10, 2)), ((10, 2), (50, 10)), ((10, 9), (12, 11)),
+    ])
+    def test_critical_value_beyond_pooled_n_star(self, x, y):
+        """Margins sized for different n*: one margin's k* reaches the pooled
+        n*, so its boundary carries no mass and its pass has no rows."""
+        design = BivariateDesign(MarginalDesign(0.025, 0.1, 0.1, 0.3, *x),
+                                 MarginalDesign(0.025, 0.1, 0.1, 0.3, *y))
+        params = make_params(0.2, 0.25, 0.3)
+        closed = stopping_pmf_exact(design, params)
+        dp = lattice_forward_dp(design, params)
+        np.testing.assert_allclose(dp.mass_x, closed.mass_x, atol=1e-13)
+        np.testing.assert_allclose(dp.mass_y, closed.mass_y, atol=1e-13)
+        np.testing.assert_allclose(dp.mass_corner, closed.mass_corner, atol=1e-13)
+        assert dp.continue_mass == pytest.approx(closed.continue_mass, abs=1e-13)
+        assert power_exact(design, params) == pytest.approx(1.0 - dp.continue_mass, abs=1e-13)
+        assert asn_exact(design, params) == pytest.approx(dp.moments(design.n_star)[0], abs=1e-12)
         dp_x, dp_y = estimator_dp(design, params.cell_probs)
         assert abs(estimator_expectation_exact(design, params, "x") - dp_x) <= 2e-14
         assert abs(estimator_expectation_exact(design, params, "y") - dp_y) <= 2e-14
@@ -185,6 +219,85 @@ class TestOneLaw:
         for old, new in zip(before[0], after[0]):
             np.testing.assert_array_equal(old, new)
         assert before[1:] == after[1:]
+
+
+class TestBinomialKernel:
+    """The one binomial kernel against 40-digit mpmath values."""
+
+    @staticmethod
+    def _exact(k, n, p):
+        with mpmath.workdps(40):
+            p = mpmath.mpf(p)
+            return mpmath.binomial(n, k) * p ** k * (1 - p) ** (n - k)
+
+    def _check(self, k, n, p):
+        got = exact_engine._binom_pmf(k, n, p)
+        for kk, nn, value in zip(*np.broadcast_arrays(k, n, p)[:2], got):
+            exact = self._exact(int(kk), int(nn), p)
+            if exact > 1e-300:
+                assert abs(value - exact) <= 1e-13 * exact, (kk, nn, p, value, exact)
+            else:
+                assert value <= 1e-300, (kk, nn, p, value, exact)
+
+    @pytest.mark.parametrize("n, p", [
+        (20, 0.3), (121, 0.1), (437, 0.9), (1154, 0.065), (2522, 0.12),
+        (9781, 0.11), (38483, 0.105), (38483, 0.0525), (5000, 0.999)])
+    def test_within_six_sd_and_at_the_ends(self, n, p):
+        sd = np.sqrt(n * p * (1 - p))
+        k = np.round(np.linspace(n * p - 6 * sd, n * p + 6 * sd, 61))
+        k = np.unique(np.concatenate([np.clip(k, 0, n), [0, n]]).astype(int))
+        self._check(k, n, p)
+        # the same masses with n varying and k fixed, as a boundary pass asks
+        self._check(k[len(k) // 2], n + np.arange(-5, 6), p)
+
+    @pytest.mark.parametrize("p", [0.01, 0.3, 0.5, 0.77])
+    def test_stirling_table_range(self, p):
+        """Every n <= 15 reads the tabulated Stirling errors."""
+        n, k = np.tril_indices(16)
+        self._check(k, n, p)
+
+    def test_degenerate_probabilities(self):
+        k = np.arange(7)
+        np.testing.assert_array_equal(exact_engine._binom_pmf(k, 5, 0.0), [1, 0, 0, 0, 0, 0, 0])
+        np.testing.assert_array_equal(exact_engine._binom_pmf(k, 5, 1.0), [0, 0, 0, 0, 0, 1, 0])
+        np.testing.assert_array_equal(exact_engine._binom_pmf(k, 0, 0.3), [1, 0, 0, 0, 0, 0, 0])
+        np.testing.assert_array_equal(exact_engine._binom_pmf(0, np.arange(3), 1.0), [1, 0, 0])
+
+
+class TestAliveMass:
+    @pytest.mark.parametrize("point", [(0.05, 0.10, 0.1), (0.055, 0.11, 0.1)])
+    def test_matches_triangle_at_large_n(self, point):
+        """n* = 9781: the lattice DP is out of reach, the triangle is not.
+        Its log-gamma masses are up to 3.6e-11 off at this n, which bounds
+        the agreement."""
+        design = make_design(9781, 1096, 1036)
+        params = make_params(*point)
+        triangle = alive_mass_triangle(design, params.cell_probs)
+        assert abs(non_rejection_prob(design, params) - triangle) <= 4e-11 * triangle
+
+    @pytest.mark.parametrize("geom, point", [
+        ((1154, 143, 135), (0.08, 0.16, 0.1)),
+        ((437, 59, 55), (0.11, 0.22, 0.1)),
+    ])
+    def test_relative_accuracy_at_small_mass(self, geom, point):
+        """P(M > n*) of 2e-5 and 3e-7, where 1 - sum(pmf) keeps only a few
+        digits, still agrees with the DP to 1e-13 of itself."""
+        design = make_design(*geom)
+        params = make_params(*point)
+        dp = lattice_forward_dp(design, params).continue_mass
+        assert dp < 1e-4
+        assert abs(non_rejection_prob(design, params) - dp) <= 1e-13 * dp
+
+    def test_power_and_law_share_one_alive_mass(self):
+        design = make_design(1154, 143, 135)
+        params = make_params(0.065, 0.13, 0.1)
+        exact_engine._law.cache_clear()
+        exact_engine._alive_mass.cache_clear()
+        power = power_exact(design, params)
+        pmf = stopping_pmf_exact(design, params)
+        info = exact_engine._alive_mass.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert power == 1.0 - pmf.continue_mass
 
 
 class TestIndependenceOracle:
