@@ -24,13 +24,14 @@ estimator expectations.
 Every binomial mass comes from one kernel, ``_binom_pmf``: Loader's saddle
 point, whose relative error stays near 1e-14 up to n = 38483, where
 differences of log-gamma values lose up to 1e-10.  Everything else is one
-Bernoulli recurrence, ``_bernoulli_rows``: the pmf of a count, cut at a
-critical value, advanced one trial at a time.  Each step is a convex
+Bernoulli recurrence, ``_bernoulli_rows``: a pmf cut at a critical value,
+advanced one trial at a time along its last axis.  Each step is a convex
 combination, so it keeps relative accuracy.  Rows are written a bounded
 block at a time:
 
-- a boundary pass advances the pmf of W, cut at k_y, over nu, and takes its
-  three sums over z as one matrix product per block, in O(n_star k);
+- a boundary pass takes, at every nu, the pmf of W cut at k_y times V, the
+  (k_y + 1) x 3 sums over z: about sqrt(n_star) pmfs from the kernel, each
+  times V stepped up to about sqrt(n_star) trials, give all rows in O(n_star k);
 - P(M > n_star) = sum_a Bin(n_star, theta_x)(a) sum_z Bin(a, r)(z)
   P(W_a <= k_y - z), with W_a ~ Bin(n_star - a, q), needs the rows of
   Bin(a, r) going up in a and the rows of W_a going up in n_star - a, in
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -148,9 +150,8 @@ _STIRLERR_SMALL = np.array([
     0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
 # 1/(2j+1) for j = 8..1: Horner coefficients of sum_j v^(2j) / (2j+1)
 _ATANH_TAIL = 1.0 / (2.0 * np.arange(8, 0, -1) + 1.0)
-# bytes of one block of recurrence rows: a boundary pass takes one matrix
-# product per block; larger blocks save little time and add to peak RSS
-# (1 MB blocks: +1.5 MB for a report at n_star = 1154)
+# bytes of one block of recurrence rows and of a boundary pass's seeded pmfs;
+# larger blocks save little time and add to peak RSS
 _BLOCK_BYTES = 1 << 18
 # stirlerr(n) for n = 0..len - 1, grown to twice the largest n asked for
 _stirlerr_table = _STIRLERR_SMALL
@@ -211,29 +212,29 @@ def _binom_pmf(k, n, p: float) -> np.ndarray:
         out = np.exp(st[n] - st[k] - st[j] - dev[:k.size].reshape(k.shape)
                      - dev[k.size:].reshape(k.shape))
         out *= np.sqrt(n / (2.0 * np.pi * k * j))
-        np.copyto(out, np.exp(n * np.log1p(-p)), where=k == 0)
-        np.copyto(out, np.power(p, n), where=j <= 0)
+        out[k == 0] = np.exp(j[k == 0] * np.log1p(-p))    # n = j at k = 0
+        out[j == 0] = np.power(p, k[j == 0])              # n = k at j = 0
     np.copyto(out, 0.0, where=j < 0)
     return out
 
 
 def _bernoulli_rows(rows: np.ndarray, stay: float, step: float) -> None:
     """Fill rows[1:] from rows[0] in place: rows[i + 1] is the law of the
-    count of rows[i] plus one Bernoulli(step) trial (stay = 1 - step), cut
-    to the row length.  Each step is a convex combination of the last."""
-    spill = np.empty(rows.shape[1] - 1)
+    count of rows[i] plus one Bernoulli(step) trial (stay = 1 - step) along
+    the last axis, cut to its length.  Each step is a convex combination."""
+    spill = np.empty(rows.shape[1:-1] + (rows.shape[-1] - 1,))
     for prev, row in zip(rows[:-1], rows[1:]):
         np.multiply(prev, stay, out=row)
-        np.multiply(prev[:-1], step, out=spill)
-        row[1:] += spill
+        np.multiply(prev[..., :-1], step, out=spill)
+        row[..., 1:] += spill
 
 
 def _row_blocks(first: np.ndarray, count: int, stay: float, step: float):
     """Yield (start, block): rows start.. of the first ``count`` rows of the
     Bernoulli recurrence from row ``first``, a block of at most _BLOCK_BYTES
     at a time, in one buffer that the next block overwrites."""
-    size = max(1, _BLOCK_BYTES // (8 * len(first)))
-    rows = np.empty((min(count, size) + 1, len(first)))
+    size = max(1, _BLOCK_BYTES // (8 * first.size))
+    rows = np.empty((min(count, size) + 1,) + first.shape)
     rows[0] = first
     for start in range(0, count, size):
         block = rows[:min(size, count - start) + 1]
@@ -252,23 +253,29 @@ def _boundary_pass(n_star: int, k_hit: int, k_other: int,
     """
     p00, p10, p01, p11 = params.cell_probs
     theta, rest = p10 + p11, p00 + p01
+    out = np.zeros((3, n_star))
+    count = n_star - k_hit          # rows nu = k_hit..n_star - 1, N = nu - k_hit
+    if count <= 0:
+        return out
     # law of the both-effects count Z ~ Bin(k_hit, p11/theta) given S_hit = k_hit
     z = np.arange(k_other + 1)
     g = _binom_pmf(z, k_hit, p11 / theta)
     cg = np.cumsum(g)
-    # For the pmf f and cdf F of the other-only count W, f @ V is
-    # sum_z g(z) (F(k_other - z), f(k_other - z), E[z + W; W <= k_other - z])
-    V = np.stack([cg, g, np.cumsum(z * g) + (k_other - z) * cg])[:, ::-1].T.copy()
-    nu = np.arange(k_hit, n_star)
-    pref = _binom_pmf(k_hit, nu, theta)
-    # the pmf of W ~ Bin(nu - k_hit, p01/rest), cut at k_other, one row per nu
-    row = np.empty((len(nu), 3))
-    for start, block in _row_blocks(z == 0, len(nu), p00 / rest, p01 / rest):
-        np.matmul(block, V, out=row[start:start + len(block)])
+    # For the pmf f_N and cdf F_N of the other-only count W ~ Bin(N, p01/rest),
+    # sum_j f_N(k_other - j) V[:, j] = sum_z g(z) (F_N(k_other - z),
+    # f_N(k_other - z), E[z + W; W <= k_other - z]), and f_{N + s} against V is
+    # f_N against V stepped s trials along j.  About sqrt(count) starts f_N,
+    # fewer where they would outgrow _BLOCK_BYTES
+    V = np.stack([cg, g, np.cumsum(z * g) + (k_other - z) * cg])
+    blocks = min(isqrt(count - 1) + 1, max(1, _BLOCK_BYTES // (8 * (k_other + 1))))
+    size = -(-count // blocks)
+    starts = _binom_pmf(k_other - z, np.arange(0, count, size)[:, None], p01 / rest)
+    row = np.empty((len(starts), 3 * size))
+    for s, v_s in _row_blocks(V, size, p00 / rest, p01 / rest):
+        np.matmul(starts, v_s.reshape(-1, k_other + 1).T, out=row[:, 3 * s:3 * (s + len(v_s))])
     # P(S_hit = k_hit, S_other <= k_other), the same with S_other = k_other,
     # and E[S_other; S_hit = k_hit, S_other <= k_other], at nu
-    a, d, b = pref * row.T
-    out = np.zeros((3, n_star))
+    a, d, b = _binom_pmf(k_hit, np.arange(k_hit, n_star), theta) * row.reshape(-1, 3)[:count].T
     out[:, k_hit:] = (p10 * a + p11 * (a - d), p11 * d,
                       p10 * b + p11 * (b - k_other * d + a - d))
     return out

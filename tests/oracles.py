@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: exhaustive
 path enumeration, a forward recursion over the alive lattice for the
 estimator expectations, a direct sum over the alive triangle with scipy's
-log-gamma and binomial cdf, direct binomial summation via scipy.stats, and
-adaptive quadrature of the normal density.
+log-gamma and binomial cdf, a boundary pass stepped one trial at a time,
+direct binomial summation via scipy.stats, and adaptive quadrature of the
+normal density.
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from scipy.special import bdtr, gammaln, xlogy
 from scipy.stats import binom
 
 from bivarseq import BivariateDesign
+from bivarseq.exact_engine import _binom_pmf
 
 
 @dataclass
@@ -126,6 +128,33 @@ def alive_mass_triangle(design: BivariateDesign, cell_probs) -> float:
                - gammaln(n - a + 1.0) + xlogy(z, p11) + xlogy(a - z, p10)
                + xlogy(n - a, p00 + p01))
     return float((h * bdtr(np.minimum(k_y - z, n - a), n - a, p01 / (p00 + p01))).sum())
+
+
+def boundary_pass_stepped(n_star: int, k_hit: int, k_other: int, params) -> np.ndarray:
+    """``exact_engine._boundary_pass`` by one Bernoulli step per nu: the pmf
+    of W ~ Bin(nu - k_hit, q), cut at k_other, advanced one trial at a time
+    from the point mass at 0, each row times the (k_other + 1) x 3 matrix V.
+    Shares only the binomial kernel with the engine, whose pass seeds its
+    blocks from the kernel and steps V instead of the rows.
+    """
+    p00, p10, p01, p11 = params.cell_probs
+    theta, rest = p10 + p11, p00 + p01
+    z = np.arange(k_other + 1)
+    g = _binom_pmf(z, k_hit, p11 / theta)
+    cg = np.cumsum(g)
+    V = np.stack([cg, g, np.cumsum(z * g) + (k_other - z) * cg])[:, ::-1].T
+    nu = np.arange(k_hit, n_star)
+    f = (z == 0).astype(float)
+    row = np.empty((len(nu), 3))
+    for i in range(len(nu)):
+        row[i] = f @ V
+        f[1:] = p00 / rest * f[1:] + p01 / rest * f[:-1]
+        f[0] *= p00 / rest
+    a, d, b = _binom_pmf(k_hit, nu, theta) * row.T
+    out = np.zeros((3, n_star))
+    out[:, k_hit:] = (p10 * a + p11 * (a - d), p11 * d,
+                      p10 * b + p11 * (b - k_other * d + a - d))
+    return out
 
 
 def independent_margins_pmf(design: BivariateDesign, theta_x: float, theta_y: float):

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from math import isqrt
 
 import mpmath
 import numpy as np
@@ -23,8 +24,8 @@ from bivarseq import (
 )
 from bivarseq import exact_engine
 from conftest import TINY_DESIGNS, make_design
-from oracles import (alive_mass_triangle, enumerate_paths, estimator_dp,
-                     independent_margins_pmf, tail_sum_asn)
+from oracles import (alive_mass_triangle, boundary_pass_stepped, enumerate_paths,
+                     estimator_dp, independent_margins_pmf, tail_sum_asn)
 
 # parameter points that are feasible for every tiny design below
 TINY_PARAMS = [(0.3, 0.4, 0.2), (0.25, 0.2, -0.05), (0.5, 0.3, 0.1)]
@@ -221,6 +222,61 @@ class TestOneLaw:
         assert before[1:] == after[1:]
 
 
+class TestBoundaryPass:
+    """The pass seeds blocks of rows from the kernel and steps V; the
+    geometry of those blocks must not show in the masses."""
+
+    @pytest.mark.parametrize("geom, point, block_bytes", [
+        # with k_x = 4 a pass has L = n* - 4 rows, in ceil(sqrt(L)) blocks
+        ((5, 4, 3), (0.3, 0.4, 0.2), None),             # L = 1
+        ((29, 4, 3), (0.3, 0.4, 0.2), None),            # L = 25 = 5 * 5
+        ((35, 4, 3), (0.3, 0.4, 0.2), None),            # L = 6 * 5 + 1
+        ((33, 4, 3), (0.3, 0.4, 0.2), None),            # L = 5 * 6 - 1
+        ((35, 4, 0), (0.1, 0.02, 0.05), None),          # k_other = 0
+        ((35, 4, 3), (0.3, 0.4, condition_a_bounds(0.3, 0.4)[0]), None),      # p11 = 0
+        ((35, 4, 3), (0.05, 0.45, condition_a_bounds(0.05, 0.45)[1]), None),  # p10 = 0
+        ((35, 4, 3), (0.2, 0.1, condition_a_bounds(0.2, 0.1)[1]), None),      # p01 = 0
+        # starts and V chunks over a small byte budget: fewer, longer blocks,
+        # each filled by several chunks of V_s
+        ((104, 10, 8), (0.1, 0.12, 0.3), 8 * 3 * 9 * 2),
+        ((1154, 143, 135), (0.065, 0.13, 0.1), 8 * 3 * 136 * 5),
+    ])
+    def test_matches_stepped_pass_and_dp(self, monkeypatch, geom, point, block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(exact_engine, "_BLOCK_BYTES", block_bytes)
+        design = make_design(*geom)
+        params = make_params(*point)
+        dp = lattice_forward_dp(design, params)
+        n, k_x, k_y, low = design.n_star, design.k_x, design.k_y, design.k_lower
+        for args, only in (((n, k_x, k_y, params), dp.mass_x),
+                           ((n, k_y, k_x, params.swapped()), dp.mass_y)):
+            got, want = exact_engine._boundary_pass(*args), boundary_pass_stepped(*args)
+            big = want > 1e-280
+            np.testing.assert_allclose(got[big], want[big], rtol=1e-13, atol=0)
+            assert np.all(got[~big] <= 1e-280)
+            np.testing.assert_allclose(got[0, low:], only, atol=1e-13)
+            np.testing.assert_allclose(got[1, low:], dp.mass_corner, atol=1e-13)
+
+    def test_empty_pass(self):
+        """k* at or past the pooled n*: no rows, no mass, in both routes."""
+        params = make_params(0.2, 0.25, 0.3)
+        for k_hit in (10, 12):
+            got = exact_engine._boundary_pass(10, k_hit, 2, params)
+            np.testing.assert_array_equal(got, np.zeros((3, 10)))
+            np.testing.assert_array_equal(got, boundary_pass_stepped(10, k_hit, 2, params))
+
+    def test_steps_about_sqrt_of_the_rows(self, monkeypatch):
+        """A pass over L = 1011 rows takes about sqrt(L) Bernoulli steps, not
+        one per row."""
+        steps = []
+        bernoulli_rows = exact_engine._bernoulli_rows
+        monkeypatch.setattr(exact_engine, "_bernoulli_rows",
+                            lambda rows, *args: steps.append(len(rows) - 1)
+                            or bernoulli_rows(rows, *args))
+        exact_engine._boundary_pass(1154, 143, 135, make_params(0.065, 0.13, 0.1))
+        assert 0 < sum(steps) <= 2 * (isqrt(1154 - 143) + 1)
+
+
 class TestBinomialKernel:
     """The one binomial kernel against 40-digit mpmath values."""
 
@@ -255,6 +311,23 @@ class TestBinomialKernel:
         """Every n <= 15 reads the tabulated Stirling errors."""
         n, k = np.tril_indices(16)
         self._check(k, n, p)
+
+    @pytest.mark.parametrize("k, n, p", [
+        (143, np.arange(100, 1154), 0.065),
+        (135 - np.arange(136), np.arange(0, 1011, 32)[:, None], 0.07),
+        (np.arange(7), 5, 0.0), (np.arange(7), 5, 1.0), (0, np.arange(3), 1.0),
+        (np.arange(25), np.arange(25), 0.6), (0, np.arange(40), 0.3)])
+    def test_ends_bit_identical_to_the_whole_grid_form(self, k, n, p):
+        """k = 0 and k = n are evaluated only where they apply, with the
+        values the expressions give over the whole grid."""
+        got = exact_engine._binom_pmf(k, n, p)
+        k, n = np.broadcast_arrays(k, n)
+        want = got.copy()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.copyto(want, np.exp(n * np.log1p(-p)), where=k == 0)
+            np.copyto(want, np.power(p, n), where=n - k <= 0)
+        np.copyto(want, 0.0, where=n - k < 0)
+        np.testing.assert_array_equal(got, want)
 
     def test_degenerate_probabilities(self):
         k = np.arange(7)
