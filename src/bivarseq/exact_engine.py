@@ -39,8 +39,8 @@ block at a time:
 
 The engine keeps the law of the last (design, params) point, which the pmf,
 the moments and both estimators read, and the last P(M > n_star), which the
-power and the law share.  None of it needs scipy; only the ASN bounds call
-``reg_inc_beta``.
+power and the law share.  The ASN bounds read one survival vector per
+margin from the same kernel.  The engine needs no scipy at all.
 
 A forward dynamic program over the alive lattice is an independent route to
 the same distribution, kept as the test suite's oracle.
@@ -56,7 +56,6 @@ import numpy as np
 
 from .design import BivariateDesign
 from .params import JointBernoulliParams
-from .special_functions import reg_inc_beta
 
 __all__ = [
     "LatticeCounts",
@@ -406,45 +405,31 @@ def asn_exact(design: BivariateDesign, params: JointBernoulliParams) -> float:
     return _law(design.n_star, design.k_x, design.k_y, params)[1]
 
 
-def _marginal_curtailed_asn(n_star: int, k: int, theta: float) -> float:
-    """E[min(M_single, n_star)] for one margin's single-boundary walk."""
-    return (n_star * reg_inc_beta(1.0 - theta, n_star - k, k + 1)
-            + (k + 1) / theta * reg_inc_beta(theta, k + 2, n_star - k))
-
-
-def _independence_asn(design: BivariateDesign, params: JointBernoulliParams) -> float:
-    """Sum over m of P(M_x >= m) P(M_y >= m), via the tail-product formulas."""
-    n_star, k_x, k_y = design.n_star, design.k_x, design.k_y
-    tx, ty = params.theta_x, params.theta_y
-    if k_x >= k_y:
-        lead, k_in, k_out, t_in, t_out = (
-            _marginal_curtailed_asn(n_star, k_x, tx), k_y, k_x, ty, tx)
-    else:
-        lead, k_in, k_out, t_in, t_out = (
-            _marginal_curtailed_asn(n_star, k_y, ty), k_x, k_y, tx, ty)
-    i = np.arange(k_in + 1, n_star)
-    f = reg_inc_beta(t_in, k_in + 1, i - k_in)
-    g = reg_inc_beta(1.0 - t_out, np.maximum(i - k_out, 1), k_out + 1)
-    split = k_out - k_in
-    # Python's sum over lists keeps the left-to-right order of a scalar loop
-    mid = sum(f[:split].tolist())
-    tail = sum((f[split:] * g[split:]).tolist())
-    return lead - mid - tail
+def _survival(n_star: int, k: int, theta: float) -> np.ndarray:
+    """P(M >= m), m = 1..n_star, for one margin's walk alone: it stops at m
+    with mass theta Bin(m - 1, theta)(k), m >= k + 1.  The subtraction can
+    leave a few -1e-16 where the survival has run out; they are clipped."""
+    s = np.ones(n_star)
+    s[k + 1:] -= np.cumsum(theta * _binom_pmf(k, np.arange(k, n_star - 1), theta))
+    return np.maximum(s, 0.0, out=s)
 
 
 def asn_bounds(design: BivariateDesign, params: JointBernoulliParams) -> tuple[float, float]:
     """(lower, upper) bounds on the ASN from the association sign of rho.
 
-    Positively correlated margins give L1 <= ASN <= min(U1, U2) where U are
-    the per-margin curtailed expectations and L1 the independence product
-    sum; negative correlation flips L1 into an upper bound with the trivial
-    k_lower + 1 floor below; independence collapses both to L1.
+    With the survival vectors s_x, s_y of the two margins' walks alone, U =
+    sum_m s(m) is a margin's curtailed E[min(M, n_star)] and L1 =
+    sum_m s_x(m) s_y(m) the ASN if the margins were independent.  Positively
+    correlated margins give L1 <= ASN <= min(U1, U2); negative correlation
+    flips L1 into an upper bound with the trivial k_lower + 1 floor below;
+    independence collapses both to L1.  A margin whose k* reaches n_star
+    never stops alone: its survival is all ones.
     """
-    u1 = _marginal_curtailed_asn(design.n_star, design.k_x, params.theta_x)
-    u2 = _marginal_curtailed_asn(design.n_star, design.k_y, params.theta_y)
-    l1 = _independence_asn(design, params)
+    s_x = _survival(design.n_star, design.k_x, params.theta_x)
+    s_y = _survival(design.n_star, design.k_y, params.theta_y)
+    l1 = float((s_x * s_y).sum())
     if params.rho > 0:
-        return l1, min(u1, u2)
+        return l1, float(min(s_x.sum(), s_y.sum()))
     if params.rho < 0:
         return float(design.k_lower + 1), l1
     return l1, l1

@@ -11,8 +11,10 @@ vectorizes over the grid arguments the engines feed it.
 
 This module is the package's only importer of scipy, and it imports
 :mod:`scipy.special` on first use: that import takes about half of a fresh
-process's start, and the monitor, Monte Carlo and the exact power and
-stopping law call none of its functions.
+process's start.  The monitor, Monte Carlo and the whole exact engine (power,
+stopping law, moments, ASN bounds and estimators) call none of its
+functions; design sizing, post-detection analysis and the asymptotic engine
+do.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Everything here deliberately avoids the code paths under test: exhaustive
 path enumeration, a forward recursion over the alive lattice for the
 estimator expectations, a direct sum over the alive triangle with scipy's
 log-gamma and binomial cdf, a boundary pass stepped one trial at a time,
-direct binomial summation via scipy.stats, and adaptive quadrature of the
-normal density.
+direct binomial summation via scipy.stats, the ASN bounds from regularized
+incomplete beta tails, and adaptive quadrature of the normal density.
 """
 
 from dataclasses import dataclass
@@ -17,6 +17,7 @@ from scipy.stats import binom
 
 from bivarseq import BivariateDesign
 from bivarseq.exact_engine import _binom_pmf
+from bivarseq.special_functions import reg_inc_beta
 
 
 @dataclass
@@ -211,3 +212,46 @@ def tail_sum_asn(pmf_support, pmf_values, continue_mass) -> float:
     """
     surv = continue_mass + pmf_values[::-1].cumsum()[::-1]
     return float(pmf_support[0] - 1 + surv.sum())
+
+
+def _marginal_curtailed_asn(n_star: int, k: int, theta: float) -> float:
+    """E[min(M_single, n_star)] for one margin's single-boundary walk."""
+    return (n_star * reg_inc_beta(1.0 - theta, n_star - k, k + 1)
+            + (k + 1) / theta * reg_inc_beta(theta, k + 2, n_star - k))
+
+
+def _independence_asn(design: BivariateDesign, params) -> float:
+    """Sum over m of P(M_x >= m) P(M_y >= m), via the tail-product formulas."""
+    n_star, k_x, k_y = design.n_star, design.k_x, design.k_y
+    tx, ty = params.theta_x, params.theta_y
+    if k_x >= k_y:
+        lead, k_in, k_out, t_in, t_out = (
+            _marginal_curtailed_asn(n_star, k_x, tx), k_y, k_x, ty, tx)
+    else:
+        lead, k_in, k_out, t_in, t_out = (
+            _marginal_curtailed_asn(n_star, k_y, ty), k_x, k_y, tx, ty)
+    i = np.arange(k_in + 1, n_star)
+    f = reg_inc_beta(t_in, k_in + 1, i - k_in)
+    g = reg_inc_beta(1.0 - t_out, np.maximum(i - k_out, 1), k_out + 1)
+    split = k_out - k_in
+    # Python's sum over lists keeps the left-to-right order of a scalar loop
+    mid = sum(f[:split].tolist())
+    tail = sum((f[split:] * g[split:]).tolist())
+    return lead - mid - tail
+
+
+def asn_bounds_betainc(design: BivariateDesign, params) -> tuple[float, float]:
+    """``exact_engine.asn_bounds`` from closed forms in the regularized
+    incomplete beta function: U = n_star P(Bin(n_star, theta) <= k) +
+    (k + 1)/theta P(Bin(n_star + 1, theta) >= k + 2), and L1 as U of the margin
+    with the larger k* minus the tail-product sum.  Shares nothing with the
+    engine; needs k* < n_star on both margins.
+    """
+    u1 = _marginal_curtailed_asn(design.n_star, design.k_x, params.theta_x)
+    u2 = _marginal_curtailed_asn(design.n_star, design.k_y, params.theta_y)
+    l1 = _independence_asn(design, params)
+    if params.rho > 0:
+        return l1, min(u1, u2)
+    if params.rho < 0:
+        return float(design.k_lower + 1), l1
+    return l1, l1

@@ -106,6 +106,21 @@ class TestEvaluationCommands:
         doc = json.loads(payload)
         assert doc["lower"] <= doc["asn"] <= doc["upper"]
 
+    @pytest.mark.parametrize("method", ["exact", "asymptotic"])
+    def test_asn_critical_value_beyond_pooled_n_star(self, tmp_path, method):
+        # x is sized for n* = 500 with k* = 300, above the pooled n* = 200
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps({
+            "x": {"alpha_tilde": 0.025, "beta": 0.1, "theta0": 0.05, "theta1": 0.1,
+                  "n_star": 500, "k_star": 300},
+            "y": {"alpha_tilde": 0.025, "beta": 0.1, "theta0": 0.1, "theta1": 0.2,
+                  "n_star": 200, "k_star": 30}}))
+        code, payload = run_cli("asn", "--design", str(path), "--theta-x", "0.1",
+                                "--theta-y", "0.2", "--rho", "0.1", "--method", method)
+        assert code == 0
+        doc = json.loads(payload)
+        assert doc["lower"] <= doc["upper"] <= 200
+
     def test_params_file_alternative(self, design_file, tmp_path):
         pfile = tmp_path / "params.json"
         pfile.write_text(json.dumps({"theta_x": 0.1, "theta_y": 0.2, "rho": 0.1}))
@@ -548,8 +563,8 @@ def _fresh_python(script, *args):
 
 class TestStartup:
     """Importing scipy.special is about half of a fresh process's start; the
-    monitor, Monte Carlo and the exact power and pmf call none of it, so
-    they start without it."""
+    monitor, Monte Carlo and the whole exact engine call none of it, so they
+    start without it."""
 
     _MARGINS = "'--design', sys.argv[1], '--theta-x', '0.1', '--theta-y', '0.2', '--rho', '0.1'"
     _ASN = f"'asn', {_MARGINS}"
@@ -575,9 +590,8 @@ print(out.getvalue(), end='')
 """
         lines = _fresh_python(script, design_file, str(tmp_path / "state.json"),
                               str(events)).splitlines()
-        assert lines[:2] == ["False", "True"]
-        # asn, the first scipy caller (its bounds), prints what it prints
-        # when scipy came first
+        assert lines[:2] == ["False", "False"]
+        # asn prints what it prints when scipy came first
         eager = _fresh_python(f"""
 import sys
 import scipy.special
@@ -586,6 +600,25 @@ main([{self._ASN}])
 """, design_file)
         assert "\n".join(lines[2:]) + "\n" == eager
         assert json.loads(eager)["method"] == "exact"
+
+    def test_exact_engine_leaves_scipy_unloaded(self):
+        loaded = _fresh_python("""
+import sys
+from bivarseq import MarginalDesign, combine, exact_engine as ee, make_params
+design = combine(MarginalDesign(0.025, 0.1, 0.05, 0.1, 263, 19),
+                 MarginalDesign(0.025, 0.1, 0.1, 0.2, 121, 18))
+for rho in (-0.05, 0.0, 0.1):
+    params = make_params(0.1, 0.2, rho)
+    ee.power_exact(design, params)
+    ee.stopping_pmf_exact(design, params)
+    ee.asn_exact(design, params)
+    ee.variance_cv(design, params)
+    ee.asn_bounds(design, params)
+    ee.estimator_expectation_exact(design, params, 'x')
+    ee.estimator_expectation_exact(design, params, 'y')
+print('scipy' in sys.modules)
+""")
+        assert loaded == "False\n"
 
     def test_import_loads_every_layer(self):
         # the benchmark's tracer wraps these modules, found in sys.modules

@@ -24,8 +24,8 @@ from bivarseq import (
 )
 from bivarseq import exact_engine
 from conftest import TINY_DESIGNS, make_design
-from oracles import (alive_mass_triangle, boundary_pass_stepped, enumerate_paths,
-                     estimator_dp, independent_margins_pmf, tail_sum_asn)
+from oracles import (alive_mass_triangle, asn_bounds_betainc, boundary_pass_stepped,
+                     enumerate_paths, estimator_dp, independent_margins_pmf, tail_sum_asn)
 
 # parameter points that are feasible for every tiny design below
 TINY_PARAMS = [(0.3, 0.4, 0.2), (0.25, 0.2, -0.05), (0.5, 0.3, 0.1)]
@@ -474,6 +474,49 @@ class TestBounds:
         lower, upper = asn_bounds(design, params)
         assert lower == upper
         assert asn_exact(design, params) == pytest.approx(lower, abs=1e-6)
+
+    # fig121, the criterion-10a design, delta_design(0.3) and delta_design(0.1)
+    # (n* = 121, 310, 1154, 9781), each with k_x > k_y, k_x < k_y and k_x = k_y
+    _SIZES = [(121, 19, 18), (310, 43, 40), (1154, 143, 135), (9781, 1096, 1036)]
+    _GEOMS = [g for n, a, b in _SIZES for g in ((n, a, b), (n, b, a), (n, a, a))]
+
+    @pytest.mark.parametrize("geom", _GEOMS)
+    def test_match_betainc_oracle(self, geom):
+        design = make_design(*geom)
+        for tx, ty in [(0.05, 0.1), (0.12, 0.12), (0.45, 0.4)]:
+            lo, hi = condition_a_bounds(tx, ty)
+            for rho in (0.5 * lo, 0.0, 0.5 * hi):
+                params = make_params(tx, ty, rho)
+                for got, want in zip(asn_bounds(design, params),
+                                     asn_bounds_betainc(design, params)):
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("geom", _GEOMS)
+    def test_independence_bound_is_the_asn(self, geom):
+        design = make_design(*geom)
+        for tx, ty in [(0.05, 0.1), (0.45, 0.4)]:
+            params = make_params(tx, ty, 0.0)
+            lower, upper = asn_bounds(design, params)
+            assert lower == upper
+            assert lower == pytest.approx(asn_exact(design, params), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("geom", TINY_DESIGNS)
+    def test_independence_bound_matches_enumeration(self, geom):
+        design = make_design(*geom)
+        for tx, ty, _ in TINY_PARAMS:
+            params = make_params(tx, ty, 0.0)
+            law = enumerate_paths(design, params.cell_probs)
+            assert abs(asn_bounds(design, params)[0] - law.asn) <= 1e-14
+
+    def test_critical_value_beyond_pooled_n_star(self):
+        """A margin sized for a larger n* whose k* reaches the pooled n*
+        never stops alone: its survival is all ones, and the bounds hold."""
+        design = BivariateDesign(MarginalDesign(0.025, 0.1, 0.05, 0.1, 500, 300),
+                                 MarginalDesign(0.025, 0.1, 0.1, 0.2, 200, 30))
+        for rho in (-0.05, 0.0, 0.1):
+            params = make_params(0.1, 0.2, rho)
+            lower, upper = asn_bounds(design, params)
+            assert lower - 1e-9 <= asn_exact(design, params) <= upper + 1e-9
 
 
 class TestEstimator:
