@@ -2,7 +2,10 @@
 bivariate normal cdf/pdf/quantile, and rectangle probabilities for a general
 2-d normal law.
 
-Scalar special functions delegate to :mod:`scipy.special`, which meets the
+The normal quantile is a port of the Cephes ``ndtri`` (S. L. Moshier,
+*Methods and Programs for Mathematical Functions*, 1989), the routine behind
+:func:`scipy.special.ndtri`, and returns the same doubles.  The incomplete
+beta and the normal cdf delegate to :mod:`scipy.special`, which meets the
 accuracy requirements of every caller in this package.  The bivariate normal
 cdf is computed here directly with a fixed-order Gauss-Legendre reduction of
 the single-integral representation over the correlation parameter (the
@@ -11,15 +14,16 @@ vectorizes over the grid arguments the engines feed it.
 
 This module is the package's only importer of scipy, and it imports
 :mod:`scipy.special` on first use: that import takes about half of a fresh
-process's start.  The monitor, Monte Carlo and the whole exact engine (power,
-stopping law, moments, ASN bounds and estimators) call none of its
-functions; design sizing, post-detection analysis and the asymptotic engine
-do.
+process's start.  The monitor, Monte Carlo, the whole exact engine, design
+sizing and post-detection analysis call no scipy function; the exact
+refinement of a design (``reg_inc_beta``) and the asymptotic engine
+(``norm_cdf``, ``bvn_cdf``) do.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +67,7 @@ def reg_inc_beta(x, a, b):
     x = np.asarray(x, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if np.any((x < 0.0) | (x > 1.0)):
+    if np.any(~((0.0 <= x) & (x <= 1.0))):
         raise ValueError("reg_inc_beta requires 0 <= x <= 1")
     if np.any(a <= 0.0) or np.any(b <= 0.0):
         raise ValueError("reg_inc_beta requires a > 0 and b > 0")
@@ -85,12 +89,73 @@ def norm_pdf(z):
 
 
 def norm_quantile(p):
-    """Inverse of :func:`norm_cdf` on (0, 1)."""
+    """Inverse of :func:`norm_cdf` on (0, 1): Cephes ``ndtri``, bit for bit."""
     p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if np.any(~((0.0 < p) & (p < 1.0))):
         raise ValueError("norm_quantile requires 0 < p < 1")
-    out = _sp().ndtri(p)
-    return float(out) if out.ndim == 0 else out
+    if p.ndim == 0:
+        return _ndtri(float(p))
+    return np.fromiter(map(_ndtri, p.flat), float, p.size).reshape(p.shape)
+
+
+# Moshier's Cephes ndtri (the routine behind scipy.special.ndtri), with its
+# coefficient tables and evaluation order, so that every result is the same
+# double.  It runs on math.log and math.sqrt per element: numpy's SIMD log
+# differs from libm's in the last bit on a few arguments.
+_S2PI = 2.50662827463100050242e0
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+
+# The Q tables start with Cephes' implied leading 1 (its p1evl): 1.0 * x + c
+# is x + c exactly.
+# R(y^2) for |y - 0.5| <= 3/8
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+# z = sqrt(-2 log y) in [2, 8): y between exp(-2) and exp(-32)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+# z in [8, 64): y between exp(-32) and exp(-2048)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x, coef):
+    """Horner's rule, highest power first."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y):
+    """Cephes ``ndtri`` at one y in (0, 1)."""
+    upper = y > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
+    x = x0 - x1
+    return x if upper else -x
 
 
 def bvn_cdf(h, k, rho):

@@ -562,9 +562,11 @@ def _fresh_python(script, *args):
 
 
 class TestStartup:
-    """Importing scipy.special is about half of a fresh process's start; the
-    monitor, Monte Carlo and the whole exact engine call none of it, so they
-    start without it."""
+    """Importing scipy.special is about half of a fresh process's start.  The
+    monitor, Monte Carlo, the whole exact engine, design sizing and analysis
+    call none of it, so they start without it; only ``design
+    --exact-refine`` (the incomplete beta) and the asymptotic methods (the
+    normal cdf) load it."""
 
     _MARGINS = "'--design', sys.argv[1], '--theta-x', '0.1', '--theta-y', '0.2', '--rho', '0.1'"
     _ASN = f"'asn', {_MARGINS}"
@@ -600,6 +602,39 @@ main([{self._ASN}])
 """, design_file)
         assert "\n".join(lines[2:]) + "\n" == eager
         assert json.loads(eager)["method"] == "exact"
+
+    _SIZING = ("'design', '--alpha', '0.05', '--beta', '0.1', '--theta-x0', '0.05', "
+               "'--theta-x1', '0.1', '--theta-y0', '0.1', '--theta-y1', '0.2'")
+
+    def test_design_and_analyze_leave_scipy_unloaded(self):
+        script = f"""
+import io, sys
+from bivarseq.cli_monitor import main
+out = io.StringIO()
+assert main([{self._SIZING}], out=out) == 0
+assert main([{self._SIZING}, '--rounding', 'floor'], out=out) == 0
+assert main(['analyze', '--counts', '50', '10', '20', '5'], out=out) == 0
+assert main(['analyze', '--counts', '80', '3', '9', '2', '--level', '0.9'], out=out) == 0
+print('scipy' in sys.modules)
+print(out.getvalue(), end='')
+"""
+        lazy = _fresh_python(script).split("\n", 1)
+        assert lazy[0] == "False"
+        # the same bytes as when scipy came first
+        eager = _fresh_python("import scipy.special\n" + script).split("\n", 1)
+        assert eager[0] == "True"
+        assert lazy[1] == eager[1]
+
+    def test_scipy_routes_still_run(self, design_file):
+        loaded = _fresh_python(f"""
+import io, sys
+from bivarseq.cli_monitor import main
+assert main([{self._SIZING}, '--exact-refine'], out=io.StringIO()) == 0
+print('scipy' in sys.modules)
+assert main(['power', {self._MARGINS}, '--method', 'asymptotic'], out=io.StringIO()) == 0
+print('scipy' in sys.modules)
+""", design_file)
+        assert loaded == "True\nTrue\n"
 
     def test_exact_engine_leaves_scipy_unloaded(self):
         loaded = _fresh_python("""

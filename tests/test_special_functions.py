@@ -17,6 +17,17 @@ from bivarseq import (
 from oracles import binom_upper_tail, bvn_quadrature
 
 
+def _neighbours(c, steps):
+    """c and the ``steps`` doubles on each side of it."""
+    out = [c]
+    for toward in (0.0, 1.0):
+        x = c
+        for _ in range(steps):
+            x = math.nextafter(x, toward)
+            out.append(x)
+    return out
+
+
 class TestRegIncBeta:
     def test_uniform_cdf(self):
         for x in (0.0, 0.2, 0.77, 1.0):
@@ -52,6 +63,9 @@ class TestRegIncBeta:
             reg_inc_beta(0.5, 0.0, 1)
         with pytest.raises(ValueError):
             reg_inc_beta(0.5, 1, -1)
+        for x in (math.nan, [0.2, math.nan]):
+            with pytest.raises(ValueError):
+                reg_inc_beta(x, 2, 3)
 
 
 class TestNormal:
@@ -82,9 +96,44 @@ class TestNormal:
         assert norm_quantile(norm_cdf(z)) == pytest.approx(z, abs=1e-10)
 
     def test_quantile_domain(self):
-        for p in (0.0, 1.0, -0.2, 1.3):
+        for p in (0.0, 1.0, -0.2, 1.3, math.nan, [0.5, math.nan]):
             with pytest.raises(ValueError):
                 norm_quantile(p)
+
+    def test_quantile_bit_identical_to_scipy_ndtri(self):
+        from scipy.special import ndtri
+        rng = np.random.default_rng(20261019)
+        # the branch tests at exp(-2) and 1 - exp(-2), and the switch of
+        # rational approximation at sqrt(-2 log p) = 8, p = exp(-32)
+        cuts = (math.exp(-2.0), 1.0 - 0.13533528323661269189, math.exp(-32.0))
+        branch = [x for c in cuts for x in _neighbours(c, 4)]
+        branch += [x for c in cuts for x in rng.uniform(0.99 * c, 1.01 * c, 2_000)]
+        alpha_tilde, beta, level = 0.025, 0.1, 0.95
+        cli = [0.5, 1.0 - alpha_tilde, 1.0 - beta, (1.0 + level) / 2.0,
+               1.0 - (1.0 - level) / 4.0]
+        p = np.concatenate([
+            rng.random(100_000),
+            10.0 ** rng.uniform(-300.0, 0.0, 20_000),
+            [5e-324, 1e-310, 2.2250738585072014e-308],
+            1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 20_000),
+            branch, cli])
+        p = p[(0.0 < p) & (p < 1.0)]
+        assert p.size > 145_000
+        got, want = norm_quantile(p), ndtri(p)
+        mismatch = np.flatnonzero(got != want)
+        assert mismatch.size == 0, (p[mismatch[:5]], got[mismatch[:5]], want[mismatch[:5]])
+        for q in cli:
+            assert norm_quantile(q) == ndtri(q)
+
+    def test_quantile_shapes(self):
+        p = np.array([[0.1, 0.5, 0.9], [0.025, 0.975, 1e-20]])
+        out = norm_quantile(p)
+        assert out.shape == p.shape and out.dtype == float
+        assert out.tolist() == [[norm_quantile(v) for v in row] for row in p.tolist()]
+        assert norm_quantile(np.full((0, 2), 0.5)).shape == (0, 2)
+        assert type(norm_quantile(0.975)) is float
+        assert type(norm_quantile(np.float64(0.975))) is float
+        assert norm_quantile(0.5) == 0.0
 
     def test_pdf_matches_cdf_slope(self):
         h = 1e-6
