@@ -11,17 +11,22 @@ cell up to seq 9781 has been drawn, 12.5 MB at most; tracemalloc, CPython
 3.11), and later events are built as drawn.  Events are frozen, so sharing
 is safe.
 
-Monte Carlo keeps one Philox generator per call and re-keys it for each
-replicate, which draws the same uniforms as a fresh ``Philox`` per replicate
-at a fraction of the set-up cost.  It computes the outcomes of a block of
-replicates at once from two int32 cumulative sums, (S_x, S_y); N11 at the
-stop is one masked count over the columns before it, and the boundary is
+All streams draw from one Philox generator, built on first use.  Moving it
+to key (master, r) sets its state from plain ints (counter and buffer
+cleared), so it draws exactly as a fresh ``Philox(key=(master, r))`` would,
+for about 1 µs instead of the 14 µs a new generator costs; a lock makes
+re-key plus draw atomic across threads.  Monte Carlo computes the outcomes
+of a block of replicates at once from the flat positions of its x, y and
+both-effects events: a row crosses a margin at its (k+1)-th event of that
+margin, and S_x, S_y and N11 at the stop are each one ``searchsorted`` of
+``row·n* + m`` over the block.  The boundary is
 :meth:`BivariateDesign.decide`'s code hit_x + 2·hit_y on arrays.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -70,13 +75,49 @@ class TestOutcome:
 
 
 @lru_cache(maxsize=1)
-def _master_word(seed: int) -> np.uint64:
-    return np.random.SeedSequence(seed).generate_state(1, dtype=np.uint64)[0]
+def _master_word(seed: int) -> int:
+    return int(np.random.SeedSequence(seed).generate_state(1, dtype=np.uint64)[0])
 
 
-def _replicate_rng(master: np.uint64, replicate: int) -> np.random.Generator:
-    key = np.array([master, np.uint64(replicate)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+@lru_cache(maxsize=1)
+def _philox():
+    """The one Philox generator every stream draws from, and its uniform
+    draw; built on first use, so that importing the package builds none."""
+    bitgen = np.random.Philox(0)
+    return bitgen, np.random.Generator(bitgen).random
+
+
+# The state that re-keys the generator (see the module docstring).
+_PHILOX_STATE = {"bit_generator": "Philox",
+                 "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+_PHILOX_LOCK = threading.Lock()
+
+
+def _draw_streams(master: int, first: int, out: np.ndarray) -> None:
+    """Fill row i of ``out`` with the first uniforms of stream ``first + i``,
+    i.e. of ``Philox(key=(master, first + i))``."""
+    key = _PHILOX_STATE["state"]["key"]
+    with _PHILOX_LOCK:
+        bitgen, uniform = _philox()
+        key[0] = master
+        for i, row in enumerate(out, first):
+            key[1] = i
+            bitgen.state = _PHILOX_STATE
+            uniform(out=row)
+
+
+def _check_int(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int in [low, high]; a ValueError naming ``name`` for
+    bools, non-integers and values out of range."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
+    return int(value)
 
 
 def _cell_thresholds(params: JointBernoulliParams) -> tuple[float, float, float]:
@@ -102,6 +143,8 @@ _EVENTS = _InternedEvents()
 # Streams share the events of their first _INTERNED_SEQS seqs and build the
 # rest as drawn; the largest design in the tests and benchmark has n* = 9781.
 _INTERNED_SEQS = 1 << 14
+# Streams are numbered by the second word of the Philox key.
+_STREAM_MAX = 2 ** 64 - 1
 
 
 def sample_stream(params: JointBernoulliParams, seed: int, max_n: int,
@@ -109,10 +152,16 @@ def sample_stream(params: JointBernoulliParams, seed: int, max_n: int,
     """Yield max_n i.i.d. events; deterministic for fixed (seed, stream).
 
     The events are frozen; those of the first ``_INTERNED_SEQS`` seqs are
-    shared with other streams.
+    shared with other streams.  ``seed`` and ``max_n`` are non-negative
+    integers and ``stream`` one below 2**64; the arguments are checked at the
+    first ``next``.
     """
-    u = _replicate_rng(_master_word(seed), stream).random(max_n)
-    x, y = _cells(u, _cell_thresholds(params))
+    master = _master_word(_check_int("seed", seed, 0))
+    stream = _check_int("stream", stream, 0, _STREAM_MAX)
+    max_n = _check_int("max_n", max_n, 0)
+    u = np.empty((1, max_n))
+    _draw_streams(master, stream, u)
+    x, y = _cells(u[0], _cell_thresholds(params))
     head = min(max_n, _INTERNED_SEQS)
     key = np.arange(0, 4 * head, 4) + x[:head] + 2 * y[:head]
     yield from map(_EVENTS.__getitem__, key.tolist())
@@ -164,42 +213,31 @@ def replicate_outcomes(design: BivariateDesign, params: JointBernoulliParams,
     (int8, indexing ``("none", "x", "y", "corner")``) and the reps x 4 table
     of terminal counts (n00, n10, n01, n11), int64.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
+    reps = _check_int("reps", reps, 1)
+    chunk_size = _check_int("chunk_size", chunk_size, 1)
+    master = _master_word(_check_int("seed", seed, 0))
     thresholds = _cell_thresholds(params)
     k_x, k_y, n_star = design.k_x, design.k_y, design.n_star
-
-    bitgen = np.random.Philox(
-        key=np.array([_master_word(seed), 0], dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    # assigning the fresh state with key[1] = r resets the counter and buffer,
-    # so the generator then draws exactly as Philox(key=(master, r)) would
-    state = bitgen.state
-    key = state["state"]["key"]
 
     m_star = np.empty(reps, dtype=np.int64)
     code = np.empty(reps, dtype=np.int8)
     table = np.empty((reps, 4), dtype=np.int64)
     rows = max(1, min(chunk_size, _BLOCK_UNIFORMS // n_star, reps))
     u = np.empty((rows, n_star))
-    columns = np.arange(n_star)
     for lo in range(0, reps, rows):
         n = min(rows, reps - lo)
-        for i in range(n):
-            key[1] = lo + i
-            bitgen.state = state
-            gen.random(out=u[i])
+        _draw_streams(master, lo, u[:n])
         x, y = _cells(u[:n], thresholds)
-        s_x = np.cumsum(x, axis=1, dtype=np.int32)
-        s_y = np.cumsum(y, axis=1, dtype=np.int32)
-        crossed = (s_x > k_x) | (s_y > k_y)
-        at = np.arange(n)
-        idx = crossed.argmax(axis=1)
-        m = np.where(crossed[at, idx], idx + 1, n_star)
-        sx_m, sy_m = s_x[at, m - 1], s_y[at, m - 1]
-        n11_m = np.count_nonzero(x & y & (columns < m[:, None]), axis=1)
+        row0 = np.arange(0, n * n_star, n_star)     # flat index of column 0
+        # flat positions of the x, y and both-effects events, row after row
+        at = [np.flatnonzero(a) for a in (x, y, x & y)]
+        first = [a.searchsorted(row0) for a in at]
+        m = np.full(n, n_star)
+        for a, a0, k in zip(at, first, (k_x, k_y)):
+            # a row's (k+1)-th event is where its count crosses k
+            crossed = np.flatnonzero(np.diff(a0, append=a.size) > k)
+            m[crossed] = np.minimum(m[crossed], a[a0[crossed] + k] - row0[crossed] + 1)
+        sx_m, sy_m, n11_m = (a.searchsorted(row0 + m) - a0 for a, a0 in zip(at, first))
         m_star[lo:lo + n] = m
         code[lo:lo + n] = design._boundary_code(sx_m, sy_m)
         table[lo:lo + n] = np.stack(

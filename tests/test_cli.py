@@ -348,6 +348,13 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             f"error: design document: field '{side}': {fragment}\n"
 
+    def test_simulate_negative_seed_named(self, design_file, capsys):
+        code, out = run_cli("simulate", "--design", design_file,
+                            "--theta-x", "0.1", "--theta-y", "0.2",
+                            "--reps", "20", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
     def test_exact_refine_walk_is_bounded(self, capsys):
         # the walk would take about 590 000 steps to reach N near 9.5e11
         start = time.perf_counter()

@@ -1,13 +1,18 @@
 import dataclasses
+import hashlib
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from bivarseq import simulator
 from bivarseq import (
+    BivariateDesign,
     Event,
     LatticeCounts,
+    MarginalDesign,
     SequencingError,
     StreamExhaustedError,
     condition_a_bounds,
@@ -26,6 +31,30 @@ from conftest import make_design
 
 def constant_stream(x, y, n):
     return (Event(seq=i + 1, x=x, y=y) for i in range(n))
+
+
+def in_threads(fn):
+    """[fn(0), ..., fn(3)], each computed in its own thread, the 4 started
+    together under a short switch interval so that they interleave often."""
+    start = threading.Barrier(4)
+    got = [None] * 4
+
+    def worker(i):
+        start.wait()
+        got[i] = fn(i)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return got
 
 
 class TestRunTest:
@@ -127,6 +156,49 @@ class TestSampleStream:
         ]
         events = sample_stream(make_params(0.15, 0.3, 0.25), 5, 40)
         assert [(ev.x, ev.y) for ev in events] == expected
+
+    @pytest.mark.parametrize("seed, stream, cells", [
+        (5, 1, "0312203221003103000032320010120033030001"),
+        (5, 2 ** 32 + 3, "1323310011022302113020321323331001310001"),
+        (5, 2 ** 64 - 1, "1232021133311213230012220110332103021021"),
+        (2 ** 40 + 7, 1, "1000102323112212022012132323223133102213"),
+        (2 ** 40 + 7, 2 ** 32 + 3, "2011203322330231130003303303232211023213"),
+        (2 ** 40 + 7, 2 ** 64 - 1, "2031022010020011203302303230001012333323"),
+    ])
+    def test_first_cells_pinned_beyond_stream_zero(self, seed, stream, cells):
+        """The first 40 cells x + 2y of streams past 0, past 2**32 (the key's
+        high half) and the last one, with all four cells equally likely."""
+        events = sample_stream(make_params(0.5, 0.5, 0.0), seed, 40, stream=stream)
+        assert "".join(str(ev.x + 2 * ev.y) for ev in events) == cells
+
+    @pytest.mark.parametrize("name, value", [
+        ("stream", 1.5), ("stream", -1), ("stream", 2 ** 64), ("stream", True),
+        ("seed", 1.0), ("seed", -1), ("seed", False),
+        ("max_n", -1), ("max_n", 2.0),
+    ])
+    def test_arguments_checked_at_first_next(self, name, value):
+        args = {"seed": 1, "max_n": 10, "stream": 0, name: value}
+        events = sample_stream(make_params(0.2, 0.3, 0.2), **args)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            next(events)
+
+    def test_numpy_integer_arguments_accepted(self):
+        params = make_params(0.2, 0.3, 0.2)
+        assert list(sample_stream(params, np.int64(4), np.int32(30),
+                                  stream=np.uint64(2 ** 64 - 1))) == \
+            list(sample_stream(params, 4, 30, stream=2 ** 64 - 1))
+        assert list(sample_stream(params, 4, 0)) == []
+
+    def test_threads_draw_the_serial_streams(self):
+        """Streams drawn from 4 threads at once equal the serial draws: the
+        shared generator is re-keyed and drawn under one lock."""
+        params = make_params(0.2, 0.3, 0.2)
+
+        def draw(seed):
+            return [[(ev.x, ev.y) for ev in sample_stream(params, seed, 121, stream=r)]
+                    for r in range(200)]
+
+        assert in_threads(draw) == [draw(seed) for seed in range(4)]
 
     def test_streams_differ_by_index(self):
         params = make_params(0.2, 0.3, 0.2)
@@ -297,7 +369,7 @@ class TestReplicateOutcomes:
         ("fig", (0.1, 0.2, 0.1), 700, 31),
         ("corner", (0.35, 0.35, 0.5), 2700, 19),
         # the counts pass 2**15 before the stop, where sums narrower than
-        # int32 would wrap
+        # int32 would wrap; n* = 40 000 leaves one row per block
         ("wide", (0.9, 0.95, 0.1), 3, 11),
     ])
     def test_rows_equal_run_test(self, fig_design, which, point, reps, seed):
@@ -305,7 +377,23 @@ class TestReplicateOutcomes:
         every chunking."""
         design = {"fig": fig_design, "corner": make_design(25, 3, 3),
                   "wide": make_design(40_000, 36_050, 38_050)}[which]
-        params = make_params(*point)
+        expected = self.assert_rows_equal_run_test(design, make_params(*point),
+                                                   reps, seed)
+        if which == "corner":
+            # both margins pass their critical value 3 on the same event
+            corner = [row for row in expected[:300] if row[1] == 3]
+            assert corner
+            assert all(c10 + c11 == c01 + c11 == 4 for *_, c10, c01, c11 in corner)
+        if which == "wide":
+            assert design.n_star >= 2 ** 15
+            assert simulator._BLOCK_UNIFORMS // design.n_star == 1
+            assert min(c01 + c11 for *_, c01, c11 in expected) >= 2 ** 15
+
+    @staticmethod
+    def assert_rows_equal_run_test(design, params, reps, seed):
+        """Check replicate_outcomes at chunk sizes 1, 37 and 1024 against
+        run_test over each replicate's stream; return the run_test rows
+        (m*, code, n00, n10, n01, n11)."""
         names = ("none", "x", "y", "corner")
         expected = []
         for r in range(reps):
@@ -313,11 +401,6 @@ class TestReplicateOutcomes:
             c = o.counts
             expected.append((o.m_star, names.index(o.boundary),
                              c.n00, c.n10, c.n01, c.n11))
-        if which == "corner":
-            assert any(row[1] == 3 for row in expected[:300])
-        if which == "wide":
-            assert design.n_star >= 2 ** 15
-            assert min(c01 + c11 for *_, c01, c11 in expected) >= 2 ** 15
         for chunk in (1, 37, 1024):
             m_star, code, table = replicate_outcomes(design, params, reps, seed,
                                                      chunk_size=chunk)
@@ -327,6 +410,76 @@ class TestReplicateOutcomes:
             got = [(m, b, *row) for m, b, row in
                    zip(m_star.tolist(), code.tolist(), table.tolist())]
             assert got == expected
+        return expected
+
+    def test_margin_whose_k_reaches_n_star_never_crosses(self):
+        """k_x = 150 >= n* = 60: the x count cannot pass k_x, even on a
+        stream of all-x events."""
+        design = BivariateDesign(x=MarginalDesign(0.025, 0.1, 0.1, 0.3, 200, 150),
+                                 y=MarginalDesign(0.025, 0.1, 0.1, 0.3, 60, 20))
+        assert design.k_x >= design.n_star
+        rows = self.assert_rows_equal_run_test(design, make_params(0.95, 0.3, 0.0),
+                                               300, 4)
+        assert {code for _, code, *_ in rows} == {0, 2}
+        assert all(c10 + c11 <= design.n_star for _, _, _, c10, _, c11 in rows)
+
+    def test_zero_cell_probability_and_blocks_without_x_events(self):
+        """p10 = 0, so x events are both-effects events, and at theta_x = 0.02
+        many one-row blocks hold no x event at all."""
+        hi = condition_a_bounds(0.02, 0.5)[1]
+        params = make_params(0.02, 0.5, hi)
+        assert params.p10 == 0.0
+        design = make_design(30, 1, 14)
+        reps, seed = 400, 8
+        rows = self.assert_rows_equal_run_test(design, params, reps, seed)
+        assert all(c10 == 0 for _, _, _, c10, _, _ in rows)
+        no_x = [r for r in range(reps)
+                if not any(ev.x for ev in sample_stream(params, seed, 30, stream=r))]
+        assert len(no_x) > 100
+
+    def test_stop_in_the_last_column(self):
+        """A crossing at n* itself rejects there."""
+        design = make_design(25, 4, 20)
+        rows = self.assert_rows_equal_run_test(design, make_params(0.12, 0.3, 0.1),
+                                               800, 2)
+        assert any(m == 25 and code == 1 for m, code, *_ in rows)
+        assert any(m == 25 and code == 0 for m, code, *_ in rows)
+
+    @pytest.mark.parametrize("which, point, reps, seed, digest", [
+        ("fig", (0.1, 0.2, 0.1), 3000, 31,
+         "664a663e5032b0736f2f692f63d0db75a4cc3d071691489cbad8cd0f234048c9"),
+        ("n1154", (0.065, 0.13, 0.1), 400, 7,
+         "9b125ecbcb23d12c7c25a5c1dc52a3ab3c573ac7c286e44c8ee0a6fc50cfb1f5"),
+    ])
+    def test_outcome_arrays_pinned(self, fig_design, which, point, reps, seed,
+                                   digest):
+        """SHA-256 over each array's dtype string and bytes, in the order
+        (m_star, code, table)."""
+        design = {"fig": fig_design, "n1154": make_design(1154, 143, 135)}[which]
+        h = hashlib.sha256()
+        for a in replicate_outcomes(design, make_params(*point), reps, seed):
+            h.update(a.dtype.str.encode())
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_threads_compute_the_serial_outcomes(self, fig_design):
+        params = make_params(0.1, 0.2, 0.1)
+
+        def outcomes(seed):
+            return replicate_outcomes(fig_design, params, 1500, seed, chunk_size=50)
+
+        for got, serial in zip(in_threads(outcomes), map(outcomes, range(4))):
+            assert all(np.array_equal(a, b) for a, b in zip(got, serial))
+
+    @pytest.mark.parametrize("fn", [monte_carlo, replicate_outcomes])
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.5), ("seed", -1), ("seed", True), ("reps", 2.0),
+        ("chunk_size", 8.0),
+    ])
+    def test_arguments_named(self, fig_design, fn, name, value):
+        args = {"reps": 10, "seed": 1, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fn(fig_design, make_params(0.1, 0.2, 0.1), **args)
 
     @pytest.mark.parametrize("n_before_end", [1, 0])
     def test_boundary_code_agrees_with_decide(self, n_before_end):
