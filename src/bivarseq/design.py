@@ -13,8 +13,11 @@ The ``approx`` method applies the closed-form normal approximation
     k = [ z_{1-a} sqrt(N th0 (1-th0)) + N th0 - 1/2 ]
 
 with a configurable integer rounding convention; ``exact-refine`` then walks N
-upward until the binomial constraints hold verbatim.  The pooled design stops
-at N* = min of the margins while each margin keeps its own critical value.
+upward until the binomial constraints hold verbatim.  The walk carries k: as
+S_{N+1} >= S_N, the size at a fixed k never decreases in N, so neither does
+the smallest valid k, and each N costs about two incomplete-beta calls.  The
+pooled design stops at N* = min of the margins while each margin keeps its
+own critical value.
 """
 
 from __future__ import annotations
@@ -231,28 +234,21 @@ def design_marginal(alpha_tilde: float, beta: float, theta0: float, theta1: floa
     if method == "approx":
         return MarginalDesign(alpha_tilde, beta, theta0, theta1, n, k)
 
+    # At a fixed k the size P_theta0(S_N > k) never decreases in N, so the
+    # smallest valid k never decreases along the walk: carry it, step it up.
     start = max(n - 5, 1)
+    k = min(k, start - 1)
+    while k > 0 and binom_sf(k - 1, start, theta0) <= alpha_tilde:
+        k -= 1
     for n_try in range(start, start + _REFINE_STEPS):
-        k_try = _smallest_valid_k(alpha_tilde, theta0, n_try)
-        if k_try is not None and binom_cdf(k_try, n_try, theta1) <= beta:
-            return MarginalDesign(alpha_tilde, beta, theta0, theta1, n_try, k_try)
+        size = binom_sf(k, n_try, theta0)
+        while size > alpha_tilde and k < n_try - 1:
+            k += 1
+            size = binom_sf(k, n_try, theta0)
+        if size <= alpha_tilde and binom_cdf(k, n_try, theta1) <= beta:
+            return MarginalDesign(alpha_tilde, beta, theta0, theta1, n_try, k)
     raise ValueError(f"exact-refine found no (N, k) meeting both binomial constraints "
                      f"in {_REFINE_STEPS} sample sizes from N = {start}")
-
-
-def _smallest_valid_k(alpha_tilde: float, theta0: float, n: int):
-    """Smallest k with P_theta0(S_n > k) <= alpha_tilde, or None."""
-    # size decreases in k, so scan upward from a normal-approximation start
-    k = max(critical_value_for_n(alpha_tilde, theta0, n, "floor") - 3, 0)
-    if binom_sf(k, n, theta0) <= alpha_tilde:
-        while k > 0 and binom_sf(k - 1, n, theta0) <= alpha_tilde:
-            k -= 1
-        return k
-    while k < n - 1:
-        k += 1
-        if binom_sf(k, n, theta0) <= alpha_tilde:
-            return k
-    return None
 
 
 def combine(x: MarginalDesign, y: MarginalDesign) -> BivariateDesign:

@@ -74,7 +74,7 @@ class TestOutcome:
     counts: LatticeCounts
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=32)
 def _master_word(seed: int) -> int:
     return int(np.random.SeedSequence(seed).generate_state(1, dtype=np.uint64)[0])
 

@@ -57,7 +57,7 @@ def design(design_file):
 
 class TestDesignCommand:
     def test_pooled_geometry(self, design_file):
-        doc = json.loads(open(design_file).read())
+        doc = json.loads(Path(design_file).read_text())
         assert doc["n_star"] == 121
         assert doc["y"]["k_star"] == 18
         assert abs(doc["x"]["k_star"] - 19) <= 1
@@ -94,7 +94,7 @@ class TestEvaluationCommands:
         doc = json.loads(payload)
         from bivarseq import BivariateDesign
 
-        design = BivariateDesign.from_dict(json.load(open(design_file)))
+        design = BivariateDesign.from_dict(json.loads(Path(design_file).read_text()))
         assert doc["power"] == pytest.approx(
             power_exact(design, make_params(0.1, 0.2, 0.1)), abs=1e-12)
 
@@ -145,7 +145,7 @@ class TestEvaluationCommands:
         assert rows[0] == ["m", "p_hit_x", "p_hit_y", "p_corner"]
         from bivarseq import BivariateDesign
 
-        design = BivariateDesign.from_dict(json.load(open(design_file)))
+        design = BivariateDesign.from_dict(json.loads(Path(design_file).read_text()))
         pmf = stopping_pmf_exact(design, make_params(0.1, 0.2, 0.1))
         assert len(rows) - 1 == len(pmf.support)
         assert float(rows[1][1]) == pytest.approx(pmf.mass_x[0], abs=1e-15)
@@ -257,7 +257,7 @@ class TestEvaluationCommands:
                                 "--emit-ellipse-points", "100",
                                 "--ellipse-file", "pts.csv")
         assert code == 0
-        rows = list(csv.reader(open(tmp_path / "pts.csv")))
+        rows = list(csv.reader(io.StringIO((tmp_path / "pts.csv").read_text())))
         assert rows[0] == ["theta_x", "theta_y"]
         assert len(rows) == 101
 

@@ -145,6 +145,17 @@ class TestSampleStream:
         c = list(sample_stream(params, 43, 500))
         assert a != c
 
+    def test_alternating_seeds_keep_their_master_words(self):
+        """Streams that alternate two seeds reuse both seeds' master words
+        (at most 2 derivations in 20 calls) and draw each seed's own events."""
+        params = make_params(0.2, 0.3, 0.2)
+        alone = {seed: list(sample_stream(params, seed, 121)) for seed in (42, 43)}
+        simulator._master_word.cache_clear()
+        for i in range(20):
+            seed = (42, 43)[i % 2]
+            assert list(sample_stream(params, seed, 121)) == alone[seed]
+        assert simulator._master_word.cache_info().misses <= 2
+
     def test_first_cells_pinned(self):
         """The first 40 cells at seed 5, as drawn one uniform per event."""
         expected = [
