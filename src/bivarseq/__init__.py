@@ -36,12 +36,10 @@ from .exact_engine import (
     StoppingPmf,
     asn_bounds,
     asn_exact,
-    corner_mass_exact,
     estimator_expectation_exact,
     lattice_forward_dp,
     non_rejection_prob,
     power_exact,
-    second_moment_exact,
     stopping_pmf_exact,
     variance_cv,
 )

@@ -352,6 +352,8 @@ def _cmd_monitor(args, out: TextIO) -> int:
 
     source = open(args.input, "rb") if args.input else sys.stdin.buffer
     try:
+        # a state file that cannot be written fails before any record is printed
+        _write_state(args.state, state)
         for number, line in enumerate(source, 1):
             if not line.strip():
                 continue
@@ -371,11 +373,16 @@ def _cmd_monitor(args, out: TextIO) -> int:
     finally:
         if args.input:
             source.close()
-        tmp = args.state + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(state_save(state), fh, indent=2)
-        os.replace(tmp, args.state)
+        _write_state(args.state, state)
     return 0
+
+
+def _write_state(path: str, state: MonitorState) -> None:
+    """Save ``state`` to ``path`` atomically: a temporary file renamed over it."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        json.dump(state_save(state), fh, indent=2)
+    os.replace(tmp, path)
 
 
 def _build_parser() -> argparse.ArgumentParser:

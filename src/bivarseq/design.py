@@ -149,7 +149,15 @@ class BivariateDesign:
                 sides[side] = MarginalDesign(**sides[side])
             except ValueError as exc:
                 raise ValueError(f"design document: field {side!r}: {exc}") from None
-        return cls(**sides)
+        design = cls(**sides)
+        # the pooled fields may be absent; when given they must match the margins
+        given = {"n_star": design.n_star, "k_lower": design.k_lower}
+        for f, value in _flat_fields(doc, "design document", dict.fromkeys(given, int),
+                                     given).items():
+            if value != given[f]:
+                raise ValueError(f"design document: field {f!r} is {value}, but the "
+                                 f"margins give {given[f]}")
+        return design
 
 
 _MARGIN_FIELDS = {"alpha_tilde": float, "beta": float, "theta0": float, "theta1": float,

@@ -64,10 +64,8 @@ __all__ = [
     "power_exact",
     "stopping_pmf_exact",
     "lattice_forward_dp",
-    "corner_mass_exact",
     "asn_exact",
     "asn_bounds",
-    "second_moment_exact",
     "variance_cv",
     "estimator_expectation_exact",
 ]
@@ -392,14 +390,6 @@ def lattice_forward_dp(design: BivariateDesign, params: JointBernoulliParams) ->
     )
 
 
-def corner_mass_exact(design: BivariateDesign, params: JointBernoulliParams) -> float:
-    """Total probability of stopping exactly at the corner, summed over m.
-
-    Runs only the X-boundary pass, half the work of the full law.
-    """
-    return float(_boundary_pass(design.n_star, design.k_x, design.k_y, params)[1].sum())
-
-
 def asn_exact(design: BivariateDesign, params: JointBernoulliParams) -> float:
     """Expected terminal sample size E[min(M, n_star)]."""
     return _law(design.n_star, design.k_x, design.k_y, params)[1]
@@ -433,11 +423,6 @@ def asn_bounds(design: BivariateDesign, params: JointBernoulliParams) -> tuple[f
     if params.rho < 0:
         return float(design.k_lower + 1), l1
     return l1, l1
-
-
-def second_moment_exact(design: BivariateDesign, params: JointBernoulliParams) -> float:
-    """E[min(M, n_star)^2]."""
-    return _law(design.n_star, design.k_x, design.k_y, params)[2]
 
 
 def variance_cv(design: BivariateDesign, params: JointBernoulliParams) -> tuple[float, float]:

@@ -175,9 +175,7 @@ def bvn_cdf(h, k, rho):
     h = np.atleast_1d(h).astype(float)
     k = np.atleast_1d(k).astype(float)
 
-    if rho == 0.0:
-        out = _sp().ndtr(h) * _sp().ndtr(k)
-    elif abs(rho) < 0.925:
+    if abs(rho) < 0.925:
         out = _bvn_small_rho(h, k, rho)
     else:
         out = _bvn_large_rho(h, k, rho)
@@ -186,7 +184,8 @@ def bvn_cdf(h, k, rho):
 
 
 def _bvn_small_rho(h, k, rho):
-    # Phi2(h,k;r) = Phi(h)Phi(k) + (1/2pi) * int_0^asin(r) exp((hk sin t - hs)/cos^2 t) dt
+    # Phi2(h,k;r) = Phi(h)Phi(k) + (1/2pi) * int_0^asin(r) exp((hk sin t - hs)/cos^2 t) dt;
+    # at r = 0 the integral adds acc * 0.0, so the result is Phi(h)Phi(k) to the bit
     hk = h * k
     hs = 0.5 * (h * h + k * k)
     asr = np.arcsin(rho)

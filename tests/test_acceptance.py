@@ -236,11 +236,11 @@ def test_criterion_08_asymptotics():
     design_02 = delta_design(0.2)
     params_02 = bq.make_params(0.06, 0.12, 0.1)
     dp_corner = bq.lattice_forward_dp(design_02, params_02).mass_corner.sum()
-    assert bq.corner_mass_exact(design_02, params_02) == \
+    assert bq.stopping_pmf_exact(design_02, params_02).mass_corner.sum() == \
         pytest.approx(dp_corner, abs=1e-10)
     design_01 = delta_design(0.1)
     params_01 = bq.make_params(0.055, 0.11, 0.1)
-    corner_01 = bq.corner_mass_exact(design_01, params_01)
+    corner_01 = bq.stopping_pmf_exact(design_01, params_01).mass_corner.sum()
     assert corner_01 <= 1e-3
 
     # (b) standardized post-test estimates: covariance within 3% of the

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import inspect
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -332,6 +334,22 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("field, value, fragment", [
+        ("n_star", 5, "'n_star' is 5, but the margins give 121"),
+        ("k_lower", 999, "'k_lower' is 999, but the margins give 18"),
+        ("n_star", True, "'n_star' must be an integer, not True"),
+    ])
+    def test_design_pooled_fields_match_margins(self, design_file, tmp_path, capsys,
+                                                field, value, fragment):
+        doc = json.loads(Path(design_file).read_text())
+        doc[field] = value
+        bad = tmp_path / "design.json"
+        bad.write_text(json.dumps(doc))
+        code, out = run_cli("power", "--design", str(bad),
+                            "--theta-x", "0.1", "--theta-y", "0.2")
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: design document: field {fragment}\n"
+
     @pytest.mark.parametrize("side, field, value, fragment", [
         ("x", "theta0", 0.5, "need 0 < theta0 < theta1 < 1"),
         ("y", "k_star", 500, "need 0 <= k_star < n_star"),
@@ -529,6 +547,18 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: corrupt state document")
         assert state.read_bytes() == before
 
+    def test_monitor_unwritable_state_prints_nothing(self, design_file, tmp_path, capsys):
+        events = tmp_path / "ev.jsonl"
+        events.write_text("".join(json.dumps({"seq": s, "x": 0, "y": 0}) + "\n"
+                                  for s in (1, 2)))
+        state = tmp_path / "missing" / "state.json"
+        code, out = run_cli("monitor", "--design", design_file, "--state", str(state),
+                            "--input", str(events))
+        assert (code, out) == (3, "")
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "Traceback" not in err
+        assert not state.parent.exists()
+
     def test_missing_design_file(self):
         code, _ = run_cli("power", "--design", "/nonexistent/d.json",
                           "--theta-x", "0.1", "--theta-y", "0.2")
@@ -662,12 +692,33 @@ print('scipy' in sys.modules)
 """)
         assert loaded == "False\n"
 
+    # the benchmark's tracer wraps the public functions of these modules
+    _LAYERS = ("special_functions", "params", "design", "exact_engine",
+               "asymptotic_engine", "simulator", "inference", "cli_monitor")
+
     def test_import_loads_every_layer(self):
-        # the benchmark's tracer wraps these modules, found in sys.modules
-        layers = ("special_functions", "params", "design", "exact_engine",
-                  "asymptotic_engine", "simulator", "inference", "cli_monitor")
+        # the tracer finds the layer modules in sys.modules
         loaded = _fresh_python("import sys, bivarseq; print(' '.join(sorted(sys.modules)))")
-        assert {f"bivarseq.{layer}" for layer in layers} <= set(loaded.split())
+        assert {f"bivarseq.{layer}" for layer in self._LAYERS} <= set(loaded.split())
+
+    def test_benchmark_names_existing_functions(self):
+        """``perfbench/run.py --trace 1`` reads every per-layer metric that
+        BENCHMARK.json lists, and the exact-report gate calls
+        ``bivarseq.lattice_forward_dp``: deleting a function named there
+        breaks the benchmark."""
+        import bivarseq
+        spec = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+        named = set()
+        for metric in spec["per_layer"]:
+            layer, *function, stat = metric["name"].split(".")
+            if layer in self._LAYERS and len(function) == 1 and stat in ("calls", "self_s"):
+                named.add((layer, function[0]))
+        assert ("exact_engine", "lattice_forward_dp") in named
+        for layer, function in sorted(named):
+            obj = getattr(import_module(f"bivarseq.{layer}"), function, None)
+            assert not function.startswith("_") and inspect.isfunction(obj) \
+                and obj.__module__ == f"bivarseq.{layer}", f"{layer}.{function}"
+        assert inspect.isfunction(bivarseq.lattice_forward_dp)
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 200)
@@ -817,3 +868,43 @@ def test_fuzz_state_documents(edits, cell):
                     (record["seq"], record["s_x"], record["s_y"], record["status"])
             else:
                 assert loaded == state_load(json.loads(before))
+
+
+# a run of valid events, then lines of arbitrary JSON documents or bytes
+_EVENT_LINES = st.tuples(
+    st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=4).map(
+        lambda cells: [json.dumps({"seq": i + 1, "x": x, "y": y}).encode()
+                       for i, (x, y) in enumerate(cells)]),
+    st.lists(st.one_of(_documents({"seq": st.integers(1, 6), "x": st.integers(0, 2),
+                                   "y": st.integers(0, 2)}).map(lambda d: json.dumps(d).encode()),
+                       st.binary(max_size=12)), max_size=3),
+).map(lambda parts: b"\n".join(parts[0] + parts[1]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(events=_EVENT_LINES,
+       fault=st.sampled_from(["none", "state in a missing directory", "state is a directory",
+                              "missing input"]))
+def test_fuzz_monitor_io_faults(events, fault):
+    """Whatever bytes the event file holds, and whether or not the state
+    path and the input can be used, ``monitor`` exits 0, 2 or 3 with a
+    message and no traceback; whenever it printed a record, the state file
+    loads and its last_seq is that of the last record."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "design.json").write_text(json.dumps(make_design(8, 2, 1).to_dict()))
+        (tmp / "ev.jsonl").write_bytes(events)
+        state = {"state in a missing directory": tmp / "missing" / "state.json",
+                 "state is a directory": tmp}.get(fault, tmp / "state.json")
+        source = tmp / ("absent.jsonl" if fault == "missing input" else "ev.jsonl")
+        code, out, err = _main_exit("monitor", "--design", str(tmp / "design.json"),
+                                    "--state", str(state), "--input", str(source))
+        assert code in (0, 2, 3), (code, err)
+        assert "Traceback" not in err
+        assert code == 0 or err.startswith({2: "error:", 3: "i/o error:"}[code])
+        if fault != "none":
+            assert code == 3
+        records = out.splitlines()
+        if records:
+            saved = state_load(json.loads(state.read_text()))
+            assert saved.last_seq == json.loads(records[-1])["seq"]

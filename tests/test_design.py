@@ -175,6 +175,10 @@ class TestCombine:
         d = combine(MarginalDesign(0.025, 0.1, 0.05, 0.1, 263, 19),
                     MarginalDesign(0.025, 0.1, 0.1, 0.2, 121, 18))
         assert BivariateDesign.from_dict(d.to_dict()) == d
+        # the pooled fields follow from the margins, so a document may omit them
+        doc = d.to_dict()
+        del doc["n_star"], doc["k_lower"]
+        assert BivariateDesign.from_dict(doc) == d
 
 
 class TestDecide:

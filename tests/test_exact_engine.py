@@ -12,13 +12,11 @@ from bivarseq import (
     asn_bounds,
     asn_exact,
     condition_a_bounds,
-    corner_mass_exact,
     estimator_expectation_exact,
     lattice_forward_dp,
     make_params,
     non_rejection_prob,
     power_exact,
-    second_moment_exact,
     stopping_pmf_exact,
     variance_cv,
 )
@@ -52,8 +50,8 @@ class TestAgainstEnumeration:
             law = enumerate_paths(design, params.cell_probs)
             assert power_exact(design, params) == pytest.approx(law.power, abs=1e-12)
             assert asn_exact(design, params) == pytest.approx(law.asn, abs=1e-12)
-            assert second_moment_exact(design, params) == pytest.approx(
-                law.second_moment, abs=1e-12)
+            assert stopping_pmf_exact(design, params).moments(design.n_star)[1] == \
+                pytest.approx(law.second_moment, abs=1e-12)
             var, _ = variance_cv(design, params)
             assert var == pytest.approx(law.variance, abs=1e-10)
             assert estimator_expectation_exact(design, params, "x") == \
@@ -203,7 +201,7 @@ class TestOneLaw:
             return ([arr.copy() for arr in (pmf.support, pmf.mass_x, pmf.mass_y,
                                             pmf.mass_corner)],
                     pmf.continue_mass, asn_exact(design, params),
-                    second_moment_exact(design, params), variance_cv(design, params),
+                    pmf.moments(design.n_star)[1], variance_cv(design, params),
                     estimator_expectation_exact(design, params, "x"),
                     estimator_expectation_exact(design, params, "y"))
 
@@ -413,8 +411,6 @@ class TestStructure:
         earliest = design.k_x + design.k_y + 2 - (design.k_lower + 1)
         nz = pmf.support[pmf.mass_corner > 0]
         assert nz.min() >= earliest
-        assert corner_mass_exact(design, make_params(0.3, 0.35, 0.3)) == \
-            pytest.approx(pmf.mass_corner.sum(), abs=1e-14)
 
     def test_power_monotone_in_each_margin(self):
         design = make_design(60, 12, 10)

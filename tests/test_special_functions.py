@@ -153,6 +153,22 @@ class TestBvnCdf:
             assert bvn_cdf(h, k, 0.0) == pytest.approx(
                 norm_cdf(h) * norm_cdf(k), abs=1e-14)
 
+    def test_independence_bit_identical_to_product(self):
+        """At rho = 0 the integral term of the small-rho route adds exactly
+        0.0, so no separate branch is needed for the product form."""
+        from scipy.special import ndtr
+        special = [np.inf, -np.inf, 0.0, -0.0, 39.0, -39.0, 50.0, -50.0, 1e-300, -1e-300]
+        h, k = np.random.default_rng(20261019).normal(0.0, 3.0, (2, 200_000))
+        h = np.concatenate([h, np.repeat(special, len(special))])
+        k = np.concatenate([k, np.tile(special, len(special))])
+        for rho in (0.0, -0.0):
+            for lo in range(0, h.size, 25_000):   # bounds the (points x nodes) temporaries
+                hh, kk = h[lo:lo + 25_000], k[lo:lo + 25_000]
+                np.testing.assert_array_equal(
+                    bvn_cdf(hh, kk, rho), np.clip(ndtr(hh) * ndtr(kk), 0.0, 1.0), strict=True)
+        for a, b in zip(special, special[::-1]):
+            assert bvn_cdf(a, b, 0.0) == float(np.clip(ndtr(a) * ndtr(b), 0.0, 1.0))
+
     def test_quadrature_oracle(self):
         frozen = 0.317126928286165  # from bvn_quadrature below
         assert bvn_quadrature(0.5, -0.3, 0.4) == pytest.approx(frozen, abs=1e-10)
