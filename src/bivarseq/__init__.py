@@ -26,7 +26,6 @@ from .params import JointBernoulliParams, condition_a_bounds, make_params, rho_f
 from .design import (
     BivariateDesign,
     MarginalDesign,
-    attained_errors,
     combine,
     critical_value_for_n,
     design_marginal,

@@ -43,15 +43,24 @@ _OPEN = "open"
 
 @dataclass(frozen=True)
 class MonitorState:
+    """A monitor's design and the running 2x2 table; the table's total is
+    the sequence number of the last event and, through the stopping rule,
+    gives the status."""
+
     design: BivariateDesign
     counts: LatticeCounts
-    last_seq: int
-    status: str
 
     @classmethod
     def fresh(cls, design: BivariateDesign) -> "MonitorState":
-        return cls(design=design, counts=LatticeCounts(0, 0, 0, 0),
-                   last_seq=0, status=_OPEN)
+        return cls(design=design, counts=LatticeCounts(0, 0, 0, 0))
+
+    @property
+    def last_seq(self) -> int:
+        return self.counts.total
+
+    @property
+    def status(self) -> str:
+        return _status(self.design, self.counts)[0]
 
     @property
     def s_x(self) -> int:
@@ -84,9 +93,7 @@ def monitor_step(state: MonitorState, event: Event) -> tuple[MonitorState, dict]
         n11=c.n11 + event.x * event.y,
     )
     d = state.design
-    status, decision = _status(d, counts, event.seq)
-    new_state = MonitorState(design=d, counts=counts, last_seq=event.seq,
-                             status=status)
+    status, decision = _status(d, counts)
     record = {
         "seq": event.seq,
         "s_x": counts.s_x,
@@ -99,14 +106,13 @@ def monitor_step(state: MonitorState, event: Event) -> tuple[MonitorState, dict]
     }
     if status != _OPEN:
         record["m_star"] = event.seq
-        record["estimate"] = inference.post_test_estimate(counts, event.seq).to_dict()
-    return new_state, record
+        record["estimate"] = inference.post_test_estimate(counts).to_dict()
+    return MonitorState(d, counts), record
 
 
-def _status(design: BivariateDesign, counts: LatticeCounts,
-            n: int) -> tuple[str, str]:
-    """(monitor status, decision) of the stopping rule after n events."""
-    decision, boundary = design.decide(counts.s_x, counts.s_y, n)
+def _status(design: BivariateDesign, counts: LatticeCounts) -> tuple[str, str]:
+    """(monitor status, decision) of the stopping rule at the table ``counts``."""
+    decision, boundary = design.decide(counts.s_x, counts.s_y, counts.total)
     if decision == "reject":
         return f"rejected_{boundary}", decision
     return ("exhausted" if decision == "not_reject" else _OPEN), decision
@@ -144,30 +150,25 @@ def state_load(doc: dict) -> MonitorState:
         if fields["design_hash"] != _design_hash(design):
             raise MonitorStateError("design hash mismatch: state was saved "
                                     "under a different design")
-        state = MonitorState(design=design, counts=LatticeCounts(**fields["counts"]),
-                             last_seq=fields["last_seq"], status=fields["status"])
+        state = MonitorState(design=design, counts=LatticeCounts(**fields["counts"]))
     except (KeyError, ValueError) as exc:
         if isinstance(exc, MonitorStateError):
             raise
         raise MonitorStateError(f"corrupt state document: {exc}") from exc
-    _validate_state(state)
-    return state
-
-
-def _validate_state(state: MonitorState) -> None:
-    d, c = state.design, state.counts
-    if c.total != state.last_seq:
+    # the document's last_seq and status must be the ones its counts give
+    c, last_seq = state.counts, fields["last_seq"]
+    if c.total != last_seq:
         raise MonitorStateError(
-            f"counts total {c.total} does not match last_seq {state.last_seq}")
-    if c.s_x > d.k_x + 1 or c.s_y > d.k_y + 1:
+            f"counts total {c.total} does not match last_seq {last_seq}")
+    if c.s_x > design.k_x + 1 or c.s_y > design.k_y + 1:
         raise MonitorStateError("counts exceed a reachable boundary state")
-    if state.last_seq > d.n_star:
+    if last_seq > design.n_star:
         raise MonitorStateError("last_seq exceeds the curtailment size")
-    expected, _ = _status(d, c, state.last_seq)
-    if state.status != expected:
+    if fields["status"] != state.status:
         raise MonitorStateError(
-            f"status {state.status!r} inconsistent with counts "
-            f"(expected {expected!r})")
+            f"status {fields['status']!r} inconsistent with counts "
+            f"(expected {state.status!r})")
+    return state
 
 
 # ----------------------------------------------------------------------
@@ -321,8 +322,7 @@ def _cmd_analyze(args) -> dict:
     else:
         n00, n10, n01, n11 = args.counts
         counts = LatticeCounts(n00=n00, n10=n10, n01=n01, n11=n11)
-    m_star = args.m_star if args.m_star is not None else counts.total
-    est = inference.post_test_estimate(counts, m_star)
+    est = inference.post_test_estimate(counts)
     result = {"estimate": est.to_dict(),
               "region": inference.confidence_region(est, args.level).to_dict()}
     if not est.singular:
@@ -345,7 +345,7 @@ def _cmd_monitor(args, out: TextIO) -> int:
     try:
         state = state_load(_parse_json(Path(args.state).read_bytes(),
                                        f"state file {args.state}"))
-        if _design_hash(state.design) != _design_hash(design):
+        if state.design != design:
             raise MonitorStateError("state file belongs to a different design")
     except FileNotFoundError:
         state = MonitorState.fresh(design)
@@ -362,10 +362,8 @@ def _cmd_monitor(args, out: TextIO) -> int:
                                   dict.fromkeys(("seq", "x", "y"), int))
             try:
                 new_state, record = monitor_step(state, Event(**fields))
-            except (SequencingError, MonitorStateError) as exc:
-                raise type(exc)(f"{what}: {exc}") from None
             except ValueError as exc:
-                raise ValueError(f"{what}: {exc}") from None
+                raise type(exc)(f"{what}: {exc}") from None
             out.write(json.dumps(record) + "\n")
             state = new_state
             if state.status != _OPEN:
@@ -453,7 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="post-detection estimates and intervals")
     p.add_argument("--counts", type=int, nargs=4, metavar=("N00", "N10", "N01", "N11"))
     p.add_argument("--table", help="JSON file with n00/n10/n01/n11")
-    p.add_argument("--m-star", type=int, default=None)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--emit-ellipse-points", type=int, default=0, metavar="N")
     p.add_argument("--ellipse-file", default="ellipse_points.csv")
@@ -489,7 +486,7 @@ def main(argv: Optional[list[str]] = None, out: TextIO = None) -> int:
         result = _COMMANDS[args.command](args)
         _emit(result, args.output, out)
         return 0
-    except (BivarseqError, ValueError, ArithmeticError) as exc:
+    except (BivarseqError, ValueError, ArithmeticError, MemoryError) as exc:
         if not args.quiet:
             print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,6 @@ import sys
 from dataclasses import dataclass, asdict
 
 from .special_functions import norm_quantile, reg_inc_beta
-from .params import JointBernoulliParams
 
 __all__ = [
     "MarginalDesign",
@@ -36,7 +35,6 @@ __all__ = [
     "design_marginal",
     "critical_value_for_n",
     "combine",
-    "attained_errors",
 ]
 
 # Boundary names, indexed by hit_x + 2·hit_y.
@@ -263,23 +261,3 @@ def combine(x: MarginalDesign, y: MarginalDesign) -> BivariateDesign:
     """Pool two margins: curtail at min(N*), keep each margin's own k*."""
     return BivariateDesign(x=x, y=y)
 
-
-def attained_errors(design: BivariateDesign, null_params: JointBernoulliParams,
-                    alt_params: JointBernoulliParams,
-                    method: str = "asymptotic") -> tuple[float, float]:
-    """Retrospective (type I, type II) error probabilities of a pooled design.
-
-    The default evaluates the rejection probability with the continuity-
-    corrected bivariate normal approximation of the terminal counts, which is
-    how reported retrospective rates are conventionally computed for designs
-    this size; ``method="exact"`` uses the exact multinomial sum instead.
-    """
-    if method == "exact":
-        from .exact_engine import power_exact
-        return (power_exact(design, null_params),
-                1.0 - power_exact(design, alt_params))
-    if method == "asymptotic":
-        from .asymptotic_engine import power_asymptotic
-        return (power_asymptotic(design, null_params, form="curtailed-normal"),
-                1.0 - power_asymptotic(design, alt_params, form="curtailed-normal"))
-    raise ValueError(f"unknown method {method!r}")

@@ -141,12 +141,12 @@ def _wald_covers(plug_in, m, theta_x, theta_y, level):
     return ~singular & (quad <= chi2_quantile_2df(level))
 
 
-def post_test_estimate(counts: LatticeCounts, m_star: int) -> PostTestEstimate:
-    """Sample-proportion estimates from the terminal contingency table."""
+def post_test_estimate(counts: LatticeCounts) -> PostTestEstimate:
+    """Sample-proportion estimates from the terminal contingency table,
+    whose total is the stopping time M*."""
+    m_star = counts.total
     if m_star < 1:
         raise ValueError("m_star must be >= 1")
-    if counts.total != m_star:
-        raise ValueError(f"counts sum to {counts.total}, expected m_star={m_star}")
     thx, thy, p11, sigma, singular = _plug_in(counts.s_x, counts.s_y, counts.n11,
                                               m_star)
     inside = 0.0 < thx < 1.0 and 0.0 < thy < 1.0

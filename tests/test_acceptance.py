@@ -166,8 +166,8 @@ def test_criterion_05_oracle_equivalence():
 # ---------------------------------------------------------------- criterion 6
 
 def test_criterion_06_inference_reproduction():
-    est_a = bq.post_test_estimate(bq.LatticeCounts(63, 18, 11, 25), 117)
-    est_b = bq.post_test_estimate(bq.LatticeCounts(78, 26, 5, 8), 117)
+    est_a = bq.post_test_estimate(bq.LatticeCounts(63, 18, 11, 25))
+    est_b = bq.post_test_estimate(bq.LatticeCounts(78, 26, 5, 8))
     for est, refs in ((est_a, (0.3675, 0.3077, 0.2137, 0.4521)),
                       (est_b, (0.2906, 0.1111, 0.0684, 0.2529))):
         assert est.theta_hat_x == pytest.approx(refs[0], abs=5e-5)
@@ -204,8 +204,10 @@ def test_criterion_07_retrospective_error_rates():
     for n, k, t0, t1, rho, (e1, e2) in scenarios:
         m = bq.MarginalDesign(0.025, 0.1, t0, t1, n, k)
         design = bq.combine(m, m)
-        type1, type2 = bq.attained_errors(
-            design, bq.make_params(t0, t0, rho), bq.make_params(t1, t1, rho))
+        type1 = bq.power_asymptotic(design, bq.make_params(t0, t0, rho),
+                                    form="curtailed-normal")
+        type2 = 1.0 - bq.power_asymptotic(design, bq.make_params(t1, t1, rho),
+                                          form="curtailed-normal")
         assert type1 == pytest.approx(e1, abs=5e-4), (n, k)
         assert type2 == pytest.approx(e2, abs=5e-4), (n, k)
     _report("criterion 7", "four (type I, type II) pairs")

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import csv
 import inspect
@@ -30,6 +31,7 @@ from bivarseq import (
     stopping_pmf_asymptotic,
     stopping_pmf_exact,
 )
+from bivarseq import exact_engine
 from bivarseq.cli_monitor import _cmd_monitor, main
 from bivarseq.errors import MonitorStateError, SequencingError
 from conftest import make_design
@@ -242,11 +244,10 @@ class TestEvaluationCommands:
         assert first[0].keys() == {"seq", "x", "y"}
 
     def test_analyze_matches_library(self):
-        code, payload = run_cli("analyze", "--counts", "63", "18", "11", "25",
-                                "--m-star", "117")
+        code, payload = run_cli("analyze", "--counts", "63", "18", "11", "25")
         assert code == 0
         doc = json.loads(payload)
-        est = post_test_estimate(LatticeCounts(63, 18, 11, 25), 117)
+        est = post_test_estimate(LatticeCounts(63, 18, 11, 25))
         region = confidence_region(est, 0.95)
         assert doc["estimate"]["rho_hat"] == pytest.approx(est.rho_hat, abs=1e-12)
         assert doc["region"]["half_lengths"][0] == pytest.approx(
@@ -382,6 +383,15 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert time.perf_counter() - start < 5.0
         assert "sample sizes from N = " in capsys.readouterr().err
+
+    def test_memory_error_exits_2(self, design_file, monkeypatch):
+        # a design with n* near 1e12 asks the engines for terabytes; the
+        # engine is faked so that nothing is allocated for real
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 7.94 TiB")
+        monkeypatch.setattr(exact_engine, "power_exact", out_of_memory)
+        assert _main_exit("power", "--design", design_file, "--theta-x", "0.1",
+                          "--theta-y", "0.2") == (2, "", "error: Unable to allocate 7.94 TiB\n")
 
     def test_monitor_event_indicator_names_line(self, design_file, tmp_path, capsys):
         state = tmp_path / "state.json"
@@ -719,6 +729,26 @@ print('scipy' in sys.modules)
             assert not function.startswith("_") and inspect.isfunction(obj) \
                 and obj.__module__ == f"bivarseq.{layer}", f"{layer}.{function}"
         assert inspect.isfunction(bivarseq.lattice_forward_dp)
+
+
+# each module of the package may import only modules before it in this order
+_LAYER_ORDER = ("errors", "special_functions", "params", "design", "exact_engine",
+                "asymptotic_engine", "inference", "simulator", "cli_monitor")
+
+
+def test_layers_import_only_earlier_layers():
+    """No relative import, at module or function level, reaches up the
+    layer order."""
+    package = Path(__file__).resolve().parents[1] / "src" / "bivarseq"
+    upward = []
+    for rank, layer in enumerate(_LAYER_ORDER):
+        path = package / f"{layer}.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                upward += [f"{layer}.py:{node.lineno} imports {name}" for name in names
+                           if name in _LAYER_ORDER[rank + 1:]]
+    assert not upward
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 200)

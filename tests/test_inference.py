@@ -20,12 +20,12 @@ TABLE_B = LatticeCounts(n00=78, n10=26, n01=5, n11=8)
 
 @pytest.fixture(scope="module")
 def est_a():
-    return post_test_estimate(TABLE_A, 117)
+    return post_test_estimate(TABLE_A)
 
 
 @pytest.fixture(scope="module")
 def est_b():
-    return post_test_estimate(TABLE_B, 117)
+    return post_test_estimate(TABLE_B)
 
 
 class TestPointEstimates:
@@ -50,14 +50,15 @@ class TestPointEstimates:
              [p11 - thx * thy, thy * (1 - thy)]], atol=1e-15)
 
     def test_all_zero_events_flagged(self):
-        est = post_test_estimate(LatticeCounts(50, 0, 0, 0), 50)
+        est = post_test_estimate(LatticeCounts(50, 0, 0, 0))
         assert est.theta_hat_x == est.theta_hat_y == est.p11_hat == 0.0
         assert est.singular
         assert math.isnan(est.rho_hat)
 
     def test_count_total_checked(self):
-        with pytest.raises(ValueError):
-            post_test_estimate(TABLE_A, 116)
+        # M* is the table's total, so an empty table has no estimate
+        with pytest.raises(ValueError, match="m_star must be >= 1"):
+            post_test_estimate(LatticeCounts(0, 0, 0, 0))
 
 
 class TestConfidenceRegion:
@@ -86,7 +87,7 @@ class TestConfidenceRegion:
 
     def test_isotropic_case_is_a_circle(self):
         # p11 = theta^2 makes the plug-in covariance a multiple of identity
-        est = post_test_estimate(LatticeCounts(49, 21, 21, 9), 100)
+        est = post_test_estimate(LatticeCounts(49, 21, 21, 9))
         assert est.rho_hat == pytest.approx(0.0, abs=1e-14)
         region = confidence_region(est, 0.95)
         assert region.half_lengths[0] == pytest.approx(region.half_lengths[1],
@@ -101,7 +102,7 @@ class TestConfidenceRegion:
         assert pts[:, 1].max() == pytest.approx(region.simultaneous[1][1], abs=1e-6)
 
     def test_singular_gives_point_region(self):
-        est = post_test_estimate(LatticeCounts(50, 0, 0, 0), 50)
+        est = post_test_estimate(LatticeCounts(50, 0, 0, 0))
         region = confidence_region(est, 0.95)
         assert region.half_lengths == (0.0, 0.0)
         assert region.simultaneous[0] == (0.0, 0.0)
@@ -128,7 +129,7 @@ class TestRelativeRisk:
         assert rr.ci[0] > 1.0
 
     def test_symmetric_margins(self):
-        est = post_test_estimate(LatticeCounts(49, 21, 21, 9), 100)
+        est = post_test_estimate(LatticeCounts(49, 21, 21, 9))
         rr = relative_risk(est, 0.95)
         assert rr.gamma_hat == 1.0
         assert rr.ci[0] + rr.ci[1] == pytest.approx(2.0, abs=1e-12)
@@ -144,10 +145,10 @@ class TestRelativeRisk:
             # swapping the margins exchanges the two constructions exactly
             swapped = post_test_estimate(
                 LatticeCounts(n00=TABLE_A.n00, n10=TABLE_A.n01,
-                              n01=TABLE_A.n10, n11=TABLE_A.n11), 117) \
+                              n01=TABLE_A.n10, n11=TABLE_A.n11)) \
                 if est is est_a else post_test_estimate(
                 LatticeCounts(n00=TABLE_B.n00, n10=TABLE_B.n01,
-                              n01=TABLE_B.n10, n11=TABLE_B.n11), 117)
+                              n01=TABLE_B.n10, n11=TABLE_B.n11))
             rr_swapped = relative_risk(swapped, 0.95)
             assert rr_swapped.gamma_hat == pytest.approx(inv.gamma_hat, abs=1e-12)
             assert rr_swapped.ci == pytest.approx(inv.ci, abs=1e-12)
@@ -155,7 +156,7 @@ class TestRelativeRisk:
             assert (rr.ci[0] < 1.0 < rr.ci[1]) == (inv.ci[0] < 1.0 < inv.ci[1])
 
     def test_zero_denominator(self):
-        est = post_test_estimate(LatticeCounts(40, 10, 0, 0), 50)
+        est = post_test_estimate(LatticeCounts(40, 10, 0, 0))
         with pytest.raises(ZeroDivisionError):
             relative_risk(est, 0.95)
         inv = inverse_relative_risk(est, 0.95)   # theta_hat_x > 0 is fine

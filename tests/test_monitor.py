@@ -17,6 +17,7 @@ from bivarseq import (
     state_load,
     state_save,
 )
+from bivarseq.cli_monitor import _write_state
 from bivarseq.inference import post_test_estimate
 from bivarseq.exact_engine import LatticeCounts
 from conftest import make_design
@@ -69,7 +70,7 @@ class TestStepSemantics:
                               save_load_at=(30, 80))
         assert state.status == "exhausted"
         expected = post_test_estimate(
-            LatticeCounts(n00=63, n10=18, n01=11, n11=25), 117).to_dict()
+            LatticeCounts(n00=63, n10=18, n01=11, n11=25)).to_dict()
         assert records[-1]["estimate"] == expected
 
     def test_rejects_out_of_order(self):
@@ -164,6 +165,28 @@ class TestSaveLoad:
         with pytest.raises(MonitorStateError, match="inconsistent"):
             state_load(doc)
 
+    # each document also breaks every check after the one it is refused by,
+    # so the cases pin the order of the checks as well as their messages
+    @pytest.mark.parametrize("counts, last_seq, message", [
+        ({"n00": 0, "n10": 11, "n01": 0, "n11": 0}, 0, "does not match last_seq"),
+        ({"n00": 0, "n10": 11, "n01": 0, "n11": 0}, 11, "reachable boundary"),
+        ({"n00": 11, "n10": 0, "n01": 0, "n11": 0}, 11, "curtailment size"),
+        ({"n00": 0, "n10": 3, "n01": 0, "n11": 0}, 3, "inconsistent"),
+    ])
+    def test_refusals_in_order(self, counts, last_seq, message):
+        doc = state_save(MonitorState.fresh(make_design(10, 2, 2)))
+        doc.update(counts=counts, last_seq=last_seq, status="open")
+        with pytest.raises(MonitorStateError, match=message):
+            state_load(doc)
+
+    def test_written_state_golden(self, fig_design, tmp_path):
+        cells = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 0), (0, 1), (0, 0)]
+        state, _ = feed(MonitorState.fresh(fig_design),
+                        [Event(seq=i + 1, x=x, y=y) for i, (x, y) in enumerate(cells)])
+        path = tmp_path / "state.json"
+        _write_state(str(path), state)
+        assert path.read_text() == _GOLDEN_STATE
+
     @pytest.mark.parametrize("alpha_tilde", ["abc", None, True, 0.7])
     def test_design_error_targets_checked(self, alpha_tilde):
         margin = MarginalDesign(0.025, 0.1, 0.1, 0.3, 10, 2)
@@ -201,6 +224,41 @@ class TestSaveLoad:
         doc = state_save(MonitorState.fresh(make_design(10, 2, 2)))
         with pytest.raises(MonitorStateError):
             state_load(_edited(doc, {field: 10 ** 400}))
+
+
+# the state file of fig121 after seven events, byte for byte
+_GOLDEN_STATE = """{
+  "version": 1,
+  "design": {
+    "x": {
+      "alpha_tilde": 0.025,
+      "beta": 0.1,
+      "theta0": 0.05,
+      "theta1": 0.1,
+      "n_star": 263,
+      "k_star": 19
+    },
+    "y": {
+      "alpha_tilde": 0.025,
+      "beta": 0.1,
+      "theta0": 0.1,
+      "theta1": 0.2,
+      "n_star": 121,
+      "k_star": 18
+    },
+    "n_star": 121,
+    "k_lower": 18
+  },
+  "design_hash": "263b444b85bc1680fa6f5e0051b93270484f7690281a073120c30f46d2036e60",
+  "counts": {
+    "n00": 3,
+    "n10": 1,
+    "n01": 2,
+    "n11": 1
+  },
+  "last_seq": 7,
+  "status": "open"
+}"""
 
 
 def _edited(doc: dict, edits: dict) -> dict:

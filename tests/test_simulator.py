@@ -333,7 +333,8 @@ class TestMonteCarlo:
         theta = np.array([params.theta_x, params.theta_y])
         quad = np.full(reps, np.inf)        # singular tables never cover
         for r in range(reps):
-            est = post_test_estimate(LatticeCounts(*map(int, table[r])), int(m_star[r]))
+            est = post_test_estimate(LatticeCounts(*map(int, table[r])))
+            assert est.m_star == m_star[r]
             if not est.singular:
                 d = np.array([est.theta_hat_x, est.theta_hat_y]) - theta
                 quad[r] = m_star[r] * d @ np.linalg.solve(est.sigma_hat, d)
