@@ -16,8 +16,11 @@ dropped, being asymptotically negligible.  Ratio integrands (k+1)/M and S/M
 are evaluated on the integer stopping-time grid, with the count coordinate
 integrated in closed form inside each slab.  The engine keeps these normal
 integrals for the last (design, params) point, which the pmf and both
-estimators read.  A point whose normal laws are singular in float64 (|rho|
-one ulp below 1, or a law correlation that rounds to +-1) raises
+estimators read.  The power forms build no such law but share its parts:
+the curtailed-normal power reads the same terminal-count rectangle, and the
+gut power and the hit probabilities the same two first-passage laws, each
+kept for the last point.  A point whose normal laws are singular in float64
+(|rho| one ulp below 1, or a law correlation that rounds to +-1) raises
 :class:`DegenerateCovarianceError` naming (theta_x, theta_y, rho).
 """
 
@@ -115,6 +118,20 @@ def _lower_orthant(law: BivariateNormalParams, u: float, w):
     return p, mean[0] * p + s[0] * ez
 
 
+@lru_cache(maxsize=2)
+def _rectangle(n_star: int, k_a: int, k_b: int, params: JointBernoulliParams):
+    """(P(no rejection), E[S_a; no rejection]) under the terminal-count law,
+    over the rectangle up to (k_a + 0.5, k_b + 0.5).  The two entries hold
+    margin X and margin Y, which is margin X of the swapped params."""
+    return _lower_orthant(terminal_count_law(n_star, params), k_a + 0.5, k_b + 0.5)
+
+
+@lru_cache(maxsize=1)
+def _passage_laws(k_x: int, k_y: int, params: JointBernoulliParams):
+    """The first-passage laws of the X and the Y boundary."""
+    return gut_params(params, k_x, "x"), gut_params(params, k_y, "y")
+
+
 @lru_cache(maxsize=1)
 def _law(n_star: int, k_x: int, k_y: int, params: JointBernoulliParams):
     """(support, slabs, curtailed) at one point.  ``slabs`` holds, for the X
@@ -125,12 +142,11 @@ def _law(n_star: int, k_x: int, k_y: int, params: JointBernoulliParams):
     support = np.arange(min(k_x, k_y) + 1, n_star + 1)
     support.flags.writeable = False
     edges = np.concatenate([[support[0] - 0.5], support + 0.5])
-    law_x, law_y = gut_params(params, k_x, "x"), gut_params(params, k_y, "y")
+    law_x, law_y = _passage_laws(k_x, k_y, params)
     slabs = (_lower_orthant(law_x, k_y + 0.5, edges), _lower_orthant(law_y, k_x + 0.5, edges))
     # margin Y on the swapped law: bvn_cdf(h, k) and bvn_cdf(k, h) may differ in the last bit
-    curtailed = (
-        _lower_orthant(terminal_count_law(n_star, params), k_x + 0.5, k_y + 0.5),
-        _lower_orthant(terminal_count_law(n_star, params.swapped()), k_y + 0.5, k_x + 0.5))
+    curtailed = (_rectangle(n_star, k_x, k_y, params),
+                 _rectangle(n_star, k_y, k_x, params.swapped()))
     return support, slabs, curtailed
 
 
@@ -159,8 +175,7 @@ def power_asymptotic(design: BivariateDesign, params: JointBernoulliParams,
     n_star+0.5.
     """
     if form == "curtailed-normal":
-        cont, _ = _lower_orthant(terminal_count_law(design.n_star, params),
-                                 design.k_x + 0.5, design.k_y + 0.5)
+        cont, _ = _rectangle(design.n_star, design.k_x, design.k_y, params)
         return float(min(max(1.0 - cont, 0.0), 1.0))
     if form == "gut":
         hit_x, hit_y = boundary_hit_probs(design, params)
@@ -171,8 +186,7 @@ def power_asymptotic(design: BivariateDesign, params: JointBernoulliParams,
 def boundary_hit_probs(design: BivariateDesign,
                        params: JointBernoulliParams) -> tuple[float, float]:
     """Approximate (P(X boundary first), P(Y boundary first)) by n_star."""
-    law_x = gut_params(params, design.k_x, "x")
-    law_y = gut_params(params, design.k_y, "y")
+    law_x, law_y = _passage_laws(design.k_x, design.k_y, params)
     hi = design.n_star + 0.5
     p_x, _ = _lower_orthant(law_x, design.k_y + 0.5, hi)
     p_y, _ = _lower_orthant(law_y, design.k_x + 0.5, hi)

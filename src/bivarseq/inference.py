@@ -58,11 +58,13 @@ class PostTestEstimate:
     singular: bool
 
     def to_dict(self) -> dict:
+        """The fields as JSON values; an undefined rho_hat (a margin
+        estimate of 0 or 1) is None, as JSON has no NaN."""
         return {
             "theta_hat_x": self.theta_hat_x,
             "theta_hat_y": self.theta_hat_y,
             "p11_hat": self.p11_hat,
-            "rho_hat": self.rho_hat,
+            "rho_hat": None if math.isnan(self.rho_hat) else self.rho_hat,
             "m_star": self.m_star,
             "sigma_hat": [list(row) for row in self.sigma_hat.tolist()],
             "singular": self.singular,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -168,19 +168,17 @@ def bvn_cdf(h, k, rho):
     rho = float(rho)
     if not abs(rho) < 1.0:
         raise ValueError("bvn_cdf requires |rho| < 1")
-    h = np.clip(np.asarray(h, dtype=float), -_Z_CAP, _Z_CAP)
-    k = np.clip(np.asarray(k, dtype=float), -_Z_CAP, _Z_CAP)
-    h, k = np.broadcast_arrays(h, k)
-    scalar = h.ndim == 0
-    h = np.atleast_1d(h).astype(float)
-    k = np.atleast_1d(k).astype(float)
+    h, k = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(k, dtype=float))
+    shape = h.shape
+    h = np.minimum(np.maximum(h.reshape(-1), -_Z_CAP), _Z_CAP)
+    k = np.minimum(np.maximum(k.reshape(-1), -_Z_CAP), _Z_CAP)
 
     if abs(rho) < 0.925:
         out = _bvn_small_rho(h, k, rho)
     else:
         out = _bvn_large_rho(h, k, rho)
-    out = np.clip(out, 0.0, 1.0)
-    return float(out[0]) if scalar else out.reshape(np.broadcast_shapes(h.shape, k.shape))
+    out = np.minimum(np.maximum(out, 0.0), 1.0)
+    return out.reshape(shape) if shape else float(out[0])
 
 
 def _bvn_small_rho(h, k, rho):
@@ -240,34 +238,38 @@ def _bvn_large_rho(h, k, rho):
 class BivariateNormalParams:
     """Mean vector and covariance matrix of a 2-d normal law.
 
-    The covariance must be symmetric with positive diagonal and nonnegative
-    determinant; rectangle probabilities additionally require positive
-    definiteness.
+    The entries must be finite, and the covariance symmetric with positive
+    diagonal and nonnegative determinant; rectangle probabilities
+    additionally require positive definiteness.  ``mean`` and ``cov`` are
+    read-only copies, so ``sigmas`` and ``corr``, computed once, stay true.
     """
 
     mean: np.ndarray
     cov: np.ndarray
+    sigmas: np.ndarray = field(init=False, repr=False, compare=False)
+    corr: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(2)
-        cov = np.asarray(self.cov, dtype=float).reshape(2, 2)
+        mean = np.array(self.mean, dtype=float).reshape(2)
+        cov = np.array(self.cov, dtype=float).reshape(2, 2)
+        mean.flags.writeable = False
+        cov.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10):
+        (c00, c01), (c10, c11) = cov.tolist()
+        if not all(map(math.isfinite, (*mean.tolist(), c00, c01, c10, c11))):
+            raise DegenerateCovarianceError("mean and covariance entries must be finite")
+        if abs(c01 - c10) > 1e-10:
             raise DegenerateCovarianceError("covariance must be symmetric")
-        if cov[0, 0] <= 0.0 or cov[1, 1] <= 0.0:
+        if c00 <= 0.0 or c11 <= 0.0:
             raise DegenerateCovarianceError("covariance diagonal must be positive")
-        if np.linalg.det(cov) < -1e-12:
+        if c00 * c11 - c01 * c10 < -1e-12:
             raise DegenerateCovarianceError("covariance must be positive semidefinite")
-
-    @property
-    def sigmas(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.cov))
-
-    @property
-    def corr(self) -> float:
-        s = self.sigmas
-        return float(self.cov[0, 1] / (s[0] * s[1]))
+        s0, s1 = math.sqrt(c00), math.sqrt(c11)
+        sigmas = np.array([s0, s1])
+        sigmas.flags.writeable = False
+        object.__setattr__(self, "sigmas", sigmas)
+        object.__setattr__(self, "corr", c01 / (s0 * s1))
 
 
 def bvn_rect(params: BivariateNormalParams, lo, hi):

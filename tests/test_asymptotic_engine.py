@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,152 @@ class TestOneLaw:
         power_asymptotic(fig_design, params, form="gut")
         boundary_hit_probs(fig_design, params)
         assert asymptotic_engine._law.cache_info().misses == 0
+
+    def test_surface_point_evaluates_each_law_once(self, monkeypatch):
+        """The asymptotic calls of one surface-scan point build each
+        first-passage law once, each terminal-count law once and integrate
+        each normal law once: 2 gut_params, 2 terminal_count_law and 6
+        bvn_cdf calls."""
+        calls = {"gut_params": 0, "terminal_count_law": 0, "bvn_cdf": 0}
+        for name in calls:
+            def counting(*args, _f=getattr(asymptotic_engine, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(asymptotic_engine, name, counting)
+        _clear_memos()
+        design, params = make_design(310, 43, 40), make_params(0.08, 0.15, 0.2)
+        stopping_pmf_asymptotic(design, params)
+        power_asymptotic(design, params)
+        power_asymptotic(design, params, form="gut")
+        estimator_expectation_asymptotic(design, params, "x")
+        estimator_expectation_asymptotic(design, params, "y")
+        assert calls == {"gut_params": 2, "terminal_count_law": 2, "bvn_cdf": 6}
+
+
+def _clear_memos():
+    for value in vars(asymptotic_engine).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def _asymptotic_outputs(design, params):
+    """Every asymptotic output at one point, in the order a surface-scan
+    point asks for them: the pmf arrays as one SHA-256 of their bytes, then
+    continue_mass, both power forms, both hit probabilities and both
+    estimators as float.hex."""
+    pmf = stopping_pmf_asymptotic(design, params)
+    digest = hashlib.sha256(b"".join(arr.tobytes() for arr in (
+        pmf.support, pmf.mass_x, pmf.mass_y, pmf.mass_corner))).hexdigest()
+    return (digest, pmf.continue_mass.hex(),
+            power_asymptotic(design, params).hex(),
+            power_asymptotic(design, params, form="gut").hex(),
+            *(v.hex() for v in boundary_hit_probs(design, params)),
+            estimator_expectation_asymptotic(design, params, "x").hex(),
+            estimator_expectation_asymptotic(design, params, "y").hex())
+
+
+# Outputs of the asymptotic engine before its memos were shared (eb3e1e0).
+# The points cover rho = 0, rho < 0, an X law of correlation 0.94 and a Y law
+# of 0.95 (the large-rho branch of bvn_cdf), and a terminal law at rho 0.95.
+_PINNED = {
+    ("fig121", (0.05, 0.1, 0.0)): (
+        "e33ca1d9ca641f254519a2cf08df0fc049b4f20511560da8cb970f714bae2893",
+        "0x1.f29269d9b9479p-1",
+        "0x1.adb2c4c8d70e0p-6", "0x1.95192059810f1p-5",
+        "0x1.4fe24bbbd4795p-11", "0x1.8fd9972a91bd3p-5",
+        "0x1.a3fce9c61d343p-5", "0x1.add39b9d6131bp-4",
+    ),
+    ("fig121", (0.1, 0.2, 0.1)): (
+        "b828c2f1641f602110f4efe520c643047bc3c5a8a0fefba92f7ee6e04946ac1b",
+        "0x1.8cabdefe3dc1fp-4",
+        "0x1.ce6a84203847cp-1", "0x1.d79975ad118bfp-1",
+        "0x1.1b266e6d9bae2p-7", "0x1.d32cdbf35b1d3p-1",
+        "0x1.a746953511599p-4", "0x1.b10a1811b6062p-3",
+    ),
+    ("fig121", (0.08, 0.15, -0.05)): (
+        "4e4688275f3e4fa7539edfe7e73f870a674d22822a3236c84dbe97bfd3ecb739",
+        "0x1.1205b2398db7bp-1",
+        "0x1.dbf49b8ce490ap-2", "0x1.b7c207eacc019p-2",
+        "0x1.8896d91feeef1p-8", "0x1.b19fac864c45dp-2",
+        "0x1.3e48a4b1750c4p-4", "0x1.31f4bb179f24fp-3",
+    ),
+    ("fig121", (0.05, 0.3, 0.1)): (
+        "3df80907962937782e5589bf3fb9d06b04b6e5601e11bdb42cb4c07bc28e01e5",
+        "0x1.b1d5ed0a23d0ep-13",
+        "0x1.ffe4e2a12f5dcp-1", "0x1.0000000000000p+0",
+        "0x1.309ffca182205p-14", "0x1.ffffe34b2e454p-1",
+        "0x1.9eae4169262efp-5", "0x1.3fffa5b0d5a8fp-2",
+    ),
+    ("fig121", (0.3, 0.05, -0.1)): (
+        "27fedfcfd409d7acdc7113b28ed23b2caf81f32fe25f8c9cff6dc004709aad2f",
+        "0x1.c2cb4424dd8a3p-12",
+        "0x1.ffc7a6977b645p-1", "0x1.0000000000000p+0",
+        "0x1.ffff476378641p-1", "0x1.376a5f5799fa4p-12",
+        "0x1.3f6504f479285p-2", "0x1.95d0a6a3e8c85p-5",
+    ),
+    ("fig121", (0.2, 0.2, 0.95)): (
+        "edabe8b9294bab571cec7f7e3586851faa5249f33d1c4b88a289e3fd59eb6226",
+        "0x1.6c3955122f9d7p-4",
+        "0x1.d278d55dba0c5p-1", "0x1.6f44f047b23ddp-1",
+        "0x1.b8433209b40bap-4", "0x1.383c8a067bbc6p-1",
+        "0x1.527af10af1159p-3", "0x1.5730e3c2c6371p-3",
+    ),
+    ("criterion10a", (0.05, 0.1, 0.0)): (
+        "c3e3eeb54dfcd44b0891c84edd26a1fbeaf821667e1db2a07243f19472e9cbba",
+        "0x1.ed8b792aa3b5ap-1",
+        "0x1.27486d55c4a60p-5", "0x1.9f79bc2ae407cp-5",
+        "0x1.42996a50565b5p-18", "0x1.9f6fa75f91851p-5",
+        "0x1.9f9d33cc8dfc8p-5", "0x1.a368bc2c4113dp-4",
+    ),
+    ("criterion10a", (0.1, 0.2, 0.1)): (
+        "d240c05c4222564b2b356f4f8ded85ee3b500ceb3b27c824e455eec6cbf95093",
+        "0x1.282cd4ca4338ap-10",
+        "0x1.ff6be9959ade6p-1", "0x1.0000000000000p+0",
+        "0x1.d76445f136ca7p-12", "0x1.fff0c9d1522f1p-1",
+        "0x1.9b98efd968b0cp-4", "0x1.a281d59e2fa31p-3",
+    ),
+    ("criterion10a", (0.08, 0.15, -0.05)): (
+        "14788a78f4b1e0e51b5b193ee36c5667635558259341db71985249599b34df91",
+        "0x1.5c08d6dda9903p-3",
+        "0x1.a8fdca48959bfp-1", "0x1.a7f983cc1d2aep-1",
+        "0x1.29304c385c209p-11", "0x1.a7af37b90f13dp-1",
+        "0x1.46ca44d438d70p-4", "0x1.380e1a2f34ca5p-3",
+    ),
+    ("criterion10a", (0.05, 0.3, 0.1)): (
+        "d6624a2aa23fa718c75e7897cedf5fbeb2d0a49ad2abbb104fc601de2d30d350",
+        "0x1.519603e50fd15p-35",
+        "0x1.ffffffffab9a8p-1", "0x1.0000000000000p+0",
+        "0x1.50345270070f1p-27", "0x1.0000000000000p+0",
+        "0x1.9bb5ae01ca953p-5", "0x1.38bdbfe79ab7dp-2",
+    ),
+    ("criterion10a", (0.3, 0.05, -0.1)): (
+        "d09243c27965e19bca9428318ad952ba2d0682480739ff43cef98472d2c74b97",
+        "0x1.d429720cf83d1p-32",
+        "0x1.fffffffc57ad2p-1", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.8736b02097826p-22",
+        "0x1.3857c7aa1449ap-2", "0x1.97a5627d1686fp-5",
+    ),
+    ("criterion10a", (0.2, 0.2, 0.95)): (
+        "f96443ef9fc37aca115717a72ffff7083f836372324c1e8b551eb2f8b9719a33",
+        "0x1.127f7c770f497p-10",
+        "0x1.ff76c041c4786p-1", "0x1.e4fa9792d321dp-1",
+        "0x1.fcaa02176dc0ep-6", "0x1.d515478217b3dp-1",
+        "0x1.8b48077b69400p-3", "0x1.8d1bbf47ba9d7p-3",
+    ),
+}
+_GOLDEN_DESIGNS = {"fig121": (121, 19, 18), "criterion10a": (310, 43, 40)}
+
+
+@pytest.mark.parametrize("name, point", sorted(_PINNED))
+def test_outputs_pinned(name, point):
+    """Every asymptotic output is bit-identical to the pinned value, whether
+    the memos start empty, hold this point, or hold another point."""
+    design, params = make_design(*_GOLDEN_DESIGNS[name]), make_params(*point)
+    _clear_memos()
+    assert _asymptotic_outputs(design, params) == _PINNED[name, point]
+    assert _asymptotic_outputs(design, params) == _PINNED[name, point]
+    _asymptotic_outputs(make_design(20, 3, 4), make_params(0.3, 0.2, 0.4))
+    assert _asymptotic_outputs(design, params) == _PINNED[name, point]
 
 
 class TestStoppingPmf:

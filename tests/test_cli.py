@@ -43,6 +43,10 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.fixture(scope="module")
 def design_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "design.json"
@@ -254,6 +258,21 @@ class TestEvaluationCommands:
             region.half_lengths[0], abs=1e-12)
         assert doc["relative_risk"]["ci"][0] == pytest.approx(0.8740, abs=5e-4)
 
+    @pytest.mark.parametrize("counts", [("50", "5", "0", "0"), ("0", "0", "0", "5"),
+                                        ("50", "0", "0", "0"), ("3", "0", "4", "0")])
+    def test_analyze_singular_table_is_json(self, counts, tmp_path):
+        """A margin estimate of 0 or 1 leaves rho_hat undefined: JSON has
+        null there (JSON has no NaN) and csv an empty field."""
+        code, payload = run_cli("analyze", "--counts", *counts)
+        assert code == 0
+        doc = json.loads(payload, parse_constant=_refuse_constant)
+        assert doc["estimate"]["rho_hat"] is None and doc["estimate"]["singular"]
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps(dict(zip(("n00", "n10", "n01", "n11"), map(int, counts)))))
+        code, payload = run_cli("--output", "csv", "analyze", "--table", str(table))
+        assert code == 0
+        assert ["estimate.rho_hat", ""] in list(csv.reader(io.StringIO(payload)))
+
     def test_analyze_ellipse_points(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, payload = run_cli("analyze", "--counts", "63", "18", "11", "25",
@@ -289,6 +308,21 @@ class TestMonitorCommand:
         assert records[-1]["m_star"] == 19
         saved = json.loads(state.read_text())
         assert saved["status"] == "rejected_y"
+
+    @pytest.mark.parametrize("cell, status", [((1, 1), "rejected_y"), ((0, 0), "exhausted")])
+    def test_monitor_singular_estimate_is_json(self, tmp_path, cell, status):
+        """The closing record's estimate has rho_hat null when a margin
+        estimate is 0 or 1."""
+        design, events = tmp_path / "design.json", tmp_path / "ev.jsonl"
+        design.write_text(json.dumps(make_design(4, 2, 1).to_dict()))
+        events.write_text("".join(json.dumps({"seq": i + 1, "x": cell[0], "y": cell[1]}) + "\n"
+                                  for i in range(4)))
+        code, out = run_cli("monitor", "--design", str(design),
+                            "--state", str(tmp_path / "state.json"), "--input", str(events))
+        assert code == 0
+        last = [json.loads(line, parse_constant=_refuse_constant) for line in out.splitlines()][-1]
+        assert last["status"] == status
+        assert last["estimate"]["rho_hat"] is None
 
     def test_monitor_saves_state_of_failing_batch(self, design_file, tmp_path):
         state = tmp_path / "state.json"
@@ -898,6 +932,38 @@ def test_fuzz_state_documents(edits, cell):
                     (record["seq"], record["s_x"], record["s_y"], record["status"])
             else:
                 assert loaded == state_load(json.loads(before))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.binary(max_size=40) | _JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+       target=st.sampled_from(["design", "params", "table"]),
+       fault=st.sampled_from(["none", "path is a directory", "missing path"]))
+def test_fuzz_evaluation_io_faults(data, target, fault):
+    """Whatever bytes the design, params or table file holds, and whether
+    that path is a directory or missing, ``power``, ``pmf`` and ``analyze
+    --table`` exit 0, 2 or 3 with a message and no traceback; a fault of a
+    path the command reads exits 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = {name: tmp / f"{name}.json" for name in ("design", "params", "table")}
+        files["design"].write_text(json.dumps(make_design(20, 3, 2).to_dict()))
+        files["params"].write_text(json.dumps({"theta_x": 0.2, "theta_y": 0.3, "rho": 0.1}))
+        files["table"].write_text(json.dumps({"n00": 9, "n10": 3, "n01": 2, "n11": 1}))
+        files[target].write_bytes(data)
+        if fault == "path is a directory":
+            files[target] = tmp
+        elif fault == "missing path":
+            files[target] = tmp / "absent.json"
+        reads = {"power": ("design", "params"), "pmf": ("design", "params"), "analyze": ("table",)}
+        for argv in (("power", "--design", str(files["design"]), "--params", str(files["params"])),
+                     ("pmf", "--design", str(files["design"]), "--params", str(files["params"])),
+                     ("analyze", "--table", str(files["table"]))):
+            code, _, err = _main_exit(*argv)
+            assert code in (0, 2, 3), (argv[0], code, err)
+            assert "Traceback" not in err
+            assert code == 0 or err.startswith({2: "error:", 3: "i/o error:"}[code])
+            if fault != "none" and target in reads[argv[0]]:
+                assert code == 3, (argv[0], code, err)
 
 
 # a run of valid events, then lines of arbitrary JSON documents or bytes

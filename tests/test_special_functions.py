@@ -199,6 +199,19 @@ class TestBvnCdf:
         assert bvn_cdf(0.4, -0.2, -0.9999) == pytest.approx(
             max(0.0, norm_cdf(0.4) + norm_cdf(-0.2) - 1.0), abs=1e-3)
 
+    @pytest.mark.parametrize("rho", [0.3, -0.95])
+    def test_broadcast_shapes(self, rho):
+        """Arguments broadcast as numpy does, in any number of dimensions,
+        and each entry equals the scalar call."""
+        h = np.array([[0.1, -0.5, 1.0], [0.3, 0.2, -1.0]])
+        k = np.array([0.2, np.inf, -0.3])
+        out = bvn_cdf(h, k, rho)
+        assert out.shape == (2, 3)
+        for idx in np.ndindex(out.shape):
+            assert out[idx] == bvn_cdf(h[idx], k[idx[1]], rho)
+        assert bvn_cdf(np.array([0.5]), 0.1, rho).shape == (1,)
+        assert isinstance(bvn_cdf(np.float64(0.5), np.array(0.1), rho), float)
+
     def test_domain(self):
         for rho in (1.0, -1.0, 1.2):
             with pytest.raises(ValueError):
@@ -244,6 +257,31 @@ class TestBvnRect:
         with pytest.raises(DegenerateCovarianceError):
             BivariateNormalParams(mean=np.zeros(2),
                                   cov=np.array([[-1.0, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("mean, cov", [
+        ((0.0, 0.0), ((np.inf, 0.0), (0.0, 1.0))),
+        ((0.0, 0.0), ((1.0, np.inf), (np.inf, 1.0))),
+        ((0.0, 0.0), ((1.0, np.nan), (np.nan, 1.0))),
+        ((0.0, 0.0), ((1.0, 0.0), (0.0, -np.inf))),
+        ((np.nan, 0.0), ((1.0, 0.0), (0.0, 1.0))),
+        ((0.0, -np.inf), ((1.0, 0.0), (0.0, 1.0))),
+    ])
+    def test_rejects_non_finite_entries(self, mean, cov):
+        with pytest.raises(DegenerateCovarianceError, match="must be finite"):
+            BivariateNormalParams(mean=np.array(mean), cov=np.array(cov))
+
+    def test_arrays_read_only(self):
+        """The cached sigmas and corr cannot go stale: the law holds
+        read-only copies, and writing the caller's arrays leaves it as it was."""
+        mean, cov = np.array([0.5, -1.0]), np.array([[2.0, 0.6], [0.6, 1.5]])
+        params = BivariateNormalParams(mean=mean, cov=cov)
+        for arr in (params.mean, params.cov, params.sigmas):
+            with pytest.raises(ValueError):
+                arr[0] = 9.0
+        mean[0], cov[0, 1] = 9.0, 0.0
+        np.testing.assert_array_equal(params.mean, [0.5, -1.0])
+        np.testing.assert_array_equal(params.sigmas, np.sqrt([2.0, 1.5]))
+        assert params.corr == 0.6 / (np.sqrt(2.0) * np.sqrt(1.5))
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
