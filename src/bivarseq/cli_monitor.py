@@ -16,9 +16,8 @@ malformed JSON), 3 I/O errors.
 
 from __future__ import annotations
 
-import argparse
-import csv
-import hashlib
+# argparse, csv and hashlib are imported where they are used, so that
+# ``import bivarseq`` does not load them
 import json
 import os
 import sys
@@ -119,6 +118,7 @@ def _status(design: BivariateDesign, counts: LatticeCounts) -> tuple[str, str]:
 
 
 def _design_hash(design: BivariateDesign) -> str:
+    import hashlib
     payload = json.dumps(design.to_dict(), sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()
 
@@ -181,6 +181,7 @@ def _emit(result, fmt: str, out: TextIO) -> None:
         out.write("\n")
         return
     # csv: tables pass through, scalar dicts flatten to key,value rows
+    import csv
     writer = csv.writer(out)
     if isinstance(result, dict) and "rows" in result and "columns" in result:
         writer.writerow(result["columns"])
@@ -332,6 +333,7 @@ def _cmd_analyze(args) -> dict:
         if args.emit_ellipse_points:
             pts = inference.ellipse_points(est, args.level,
                                            args.emit_ellipse_points)
+            import csv
             with open(args.ellipse_file, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["theta_x", "theta_y"])
@@ -384,6 +386,7 @@ def _write_state(path: str, state: MonitorState) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="bivarseq",
         description="Curtailed sequential testing for two correlated binary "

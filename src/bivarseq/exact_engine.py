@@ -23,15 +23,19 @@ estimator expectations.
 
 Every binomial mass comes from one kernel, ``_binom_pmf``: Loader's saddle
 point, whose relative error stays near 1e-14 up to n = 38483, where
-differences of log-gamma values lose up to 1e-10.  Everything else is one
-Bernoulli recurrence, ``_bernoulli_rows``: a pmf cut at a critical value,
-advanced one trial at a time along its last axis.  Each step is a convex
-combination, so it keeps relative accuracy.  Rows are written a bounded
-block at a time:
+differences of log-gamma values lose up to 1e-10.  It takes an array of p,
+and each element takes the same steps whatever shares the call, so the
+engine gathers the masses of several laws into one call: at small n_star a
+call costs about as much as its fixed overhead.  Everything else is one
+Bernoulli recurrence, ``_bernoulli_rows``: pmfs cut at a critical value,
+one or several side by side in a row, advanced one trial at a time.  Each step is a
+convex combination, so it keeps relative accuracy.  Rows are written a
+bounded block at a time:
 
 - a boundary pass takes, at every nu, the pmf of W cut at k_y times V, the
   (k_y + 1) x 3 sums over z: about sqrt(n_star) pmfs from the kernel, each
   times V stepped up to about sqrt(n_star) trials, give all rows in O(n_star k);
+  the seeds of both passes come from one kernel call;
 - P(M > n_star) = sum_a Bin(n_star, theta_x)(a) sum_z Bin(a, r)(z)
   P(W_a <= k_y - z), with W_a ~ Bin(n_star - a, q), needs the rows of
   Bin(a, r) going up in a and the rows of W_a going up in n_star - a, in
@@ -40,7 +44,7 @@ block at a time:
 The engine keeps the law of the last (design, params) point, which the pmf,
 the moments and both estimators read, and the last P(M > n_star), which the
 power and the law share.  The ASN bounds read one survival vector per
-margin from the same kernel.  The engine needs no scipy at all.
+margin, both from one kernel call.  The engine needs no scipy at all.
 
 A forward dynamic program over the alive lattice is an independent route to
 the same distribution, kept as the test suite's oracle.
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import isqrt
 
 import numpy as np
@@ -167,71 +172,127 @@ def _stirlerr(top: int) -> np.ndarray:
 
 def _bd0(x: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Loader's deviance x log(x/m) + m - x at m = x - d, without cancellation:
-    the atanh series in v = d/(x+m) where |v| < 0.1, log1p beyond."""
-    m = x - d
-    v = d / (x + m)
-    w = v * v
-    t = _ATANH_TAIL[0] * w + _ATANH_TAIL[1]
+    the atanh series in v = d/(x+m) where |v| < 0.1, log1p beyond.  Besides
+    the result it holds one work array: v is formed again for the last step
+    instead of being kept through the series."""
+    def ratio(out):
+        np.subtract(x, d, out=out)
+        out += x
+        return np.divide(d, out, out=out)
+    w = ratio(np.empty(d.shape))
+    t = np.abs(w)
+    far = t >= 0.1
+    w *= w
+    np.multiply(w, _ATANH_TAIL[0], out=t)
+    t += _ATANH_TAIL[1]
     for c in _ATANH_TAIL[2:]:
         t *= w
         t += c
     t *= w
-    t *= 2.0 * x
+    t *= np.multiply(x, 2.0, out=w)
     t += d
-    t *= v
-    far = np.abs(v) >= 0.1
+    t *= ratio(w)
     if far.any():
-        np.copyto(t, x * np.log1p(d / m) - d, where=far)
+        m = np.subtract(x, d, out=w)
+        np.log1p(np.divide(d, m, out=m), out=m)
+        m *= x
+        m -= d
+        np.copyto(t, m, where=far)
     return t
 
 
-def _binom_pmf(k, n, p: float) -> np.ndarray:
-    """Bin(n, p)(k) for integer arrays k, n (broadcast together) and a float
-    p in [0, 1], by Loader's saddle point (C. Loader, "Fast and Accurate
-    Computation of Binomial Probabilities", 2000):
+def _binom_pmf(k, n, p) -> np.ndarray:
+    """Bin(n, p)(k) for integer arrays k, n (broadcast together) and
+    probabilities p in [0, 1], one or an array that broadcasts against them,
+    by Loader's saddle point (C. Loader, "Fast and Accurate Computation of
+    Binomial Probabilities", 2000):
 
         Bin(n, p)(k) = exp(stirlerr(n) - stirlerr(k) - stirlerr(n - k)
                            - bd0(k, n p) - bd0(n - k, n (1 - p))) sqrt(n / (2 pi k (n - k))),
 
     relative error a few 1e-14 at n = 38483.  k = 0 is exp(n log1p(-p)),
-    k = n is p^n, and k > n gives 0.
+    k = n is p^n, and k > n gives 0.  Each element takes the same steps
+    whatever shares the call, so one call with an array p gives the bits of
+    one call per law.
     """
-    k, n = np.asarray(k), np.asarray(n)
-    j = n - k
-    k = n - j                   # k broadcast to the shape of the result
+    # k > n is 0 below; its negative n - k indexes the table from the end
+    st = _stirlerr(int(np.maximum(n, k).max(initial=0)))
+    out = st[n] - st[k]
+    out -= st[np.subtract(n, k)]
+    p = np.asarray(p) if np.shape(p) == out.shape else np.full(out.shape, p)
+    # k and n - k, then d and -d, side by side for one pass of _bd0
+    x, dev = np.empty((2,) + out.shape), np.empty((2,) + out.shape)
+    np.copyto(x[0], k)
+    k, j, d = x[0], np.subtract(n, k, out=x[1]), dev[0]
     # d = k - E[k] = E[n - k] - (n - k), from the smaller mean, whose
     # rounding is the smaller; 1 - p is exact for p > 1/2
-    d = k - n * p if p <= 0.5 else n * (1.0 - p) - j
-    # k > n is 0 below; its negative n - k indexes the table from the end
-    st = _stirlerr(int(max(n.max(initial=0), k.max(initial=0))))
+    np.subtract(k, np.multiply(n, p, out=d), out=d)
+    high = p > 0.5
+    if high.any():
+        d[high] = (k[high] + j[high]) * (1.0 - p[high]) - j[high]     # n = k + (n - k)
+    np.negative(d, out=dev[1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        dev = _bd0(np.concatenate([k, j], axis=None), np.concatenate([d, -d], axis=None))
-        out = np.exp(st[n] - st[k] - st[j] - dev[:k.size].reshape(k.shape)
-                     - dev[k.size:].reshape(k.shape))
-        out *= np.sqrt(n / (2.0 * np.pi * k * j))
-        out[k == 0] = np.exp(j[k == 0] * np.log1p(-p))    # n = j at k = 0
-        out[j == 0] = np.power(p, k[j == 0])              # n = k at j = 0
+        # the deviances overwrite d and -d, in chunks whose _bd0 work
+        # arrays stay within _BLOCK_BYTES
+        xs, ds, chunk = x.reshape(-1), dev.reshape(-1), max(1, _BLOCK_BYTES // 32)
+        for a in range(0, xs.size, chunk):
+            ds[a:a + chunk] = _bd0(xs[a:a + chunk], ds[a:a + chunk])
+        out -= dev[0]
+        out -= dev[1]
+        np.exp(out, out=out)
+        root = np.multiply(k, 2.0 * np.pi, out=dev[0])
+        root *= j
+        out *= np.sqrt(np.divide(n, root, out=root), out=root)
+        at = k == 0                                   # n = j at k = 0
+        out[at] = np.exp(j[at] * np.log1p(-p[at]))
+        at = j == 0                                   # n = k at j = 0
+        out[at] = np.power(p[at], k[at])
     np.copyto(out, 0.0, where=j < 0)
     return out
 
 
-def _bernoulli_rows(rows: np.ndarray, stay: float, step: float) -> None:
+def _binom_pmfs(*args) -> list[np.ndarray]:
+    """Several kernel evaluations in one kernel call: each argument is a
+    (k, n, p) triple, and each result has that triple's broadcast shape."""
+    grids = [np.broadcast(k, n) for k, n, _ in args]
+    ends = list(accumulate(grid.size for grid in grids))
+    parts = list(zip(grids, [0, *ends], ends))
+    k, n = np.empty((2, ends[-1]), dtype=np.int32)      # n_star < 2**31
+    for (kk, nn, _), (grid, a, b) in zip(args, parts):
+        np.copyto(k[a:b].reshape(grid.shape), kk)
+        np.copyto(n[a:b].reshape(grid.shape), nn)
+    flat = _binom_pmf(k, n, np.repeat([p for _, _, p in args], [grid.size for grid in grids]))
+    return [flat[a:b].reshape(grid.shape) for grid, a, b in parts]
+
+
+def _side_by_side(length: int, *laws: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """(stay, step) vectors of a row that holds one law of ``length`` entries
+    for each (stay, step) pair, one after the other.  step is 0 at the end of
+    each law, so that no mass passes into the next one."""
+    stay, step = (np.repeat(probs, length) for probs in zip(*laws))
+    step[length - 1::length] = 0.0
+    return stay, step
+
+
+def _bernoulli_rows(rows: np.ndarray, stay: np.ndarray, step: np.ndarray) -> None:
     """Fill rows[1:] from rows[0] in place: rows[i + 1] is the law of the
-    count of rows[i] plus one Bernoulli(step) trial (stay = 1 - step) along
-    the last axis, cut to its length.  Each step is a convex combination."""
-    spill = np.empty(rows.shape[1:-1] + (rows.shape[-1] - 1,))
-    for prev, row in zip(rows[:-1], rows[1:]):
+    count of rows[i] plus one Bernoulli trial, taken with probability step
+    and missed with probability stay, elementwise along the row and cut to
+    its length (see ``_side_by_side``).  Each step is a convex combination."""
+    spill = np.empty(rows.shape[1] - 1)
+    head = step[:-1]
+    for prev, row, prev_head, row_tail in zip(rows[:-1], rows[1:], rows[:-1, :-1], rows[1:, 1:]):
         np.multiply(prev, stay, out=row)
-        np.multiply(prev[..., :-1], step, out=spill)
-        row[..., 1:] += spill
+        np.multiply(prev_head, head, out=spill)
+        row_tail += spill
 
 
-def _row_blocks(first: np.ndarray, count: int, stay: float, step: float):
+def _row_blocks(first: np.ndarray, count: int, stay: np.ndarray, step: np.ndarray):
     """Yield (start, block): rows start.. of the first ``count`` rows of the
     Bernoulli recurrence from row ``first``, a block of at most _BLOCK_BYTES
     at a time, in one buffer that the next block overwrites."""
     size = max(1, _BLOCK_BYTES // (8 * first.size))
-    rows = np.empty((min(count, size) + 1,) + first.shape)
+    rows = np.empty((min(count, size) + 1, first.size))
     rows[0] = first
     for start in range(0, count, size):
         block = rows[:min(size, count - start) + 1]
@@ -240,39 +301,62 @@ def _row_blocks(first: np.ndarray, count: int, stay: float, step: float):
         rows[0] = block[-1]       # the next block starts from the row after
 
 
-def _boundary_pass(n_star: int, k_hit: int, k_other: int,
-                   params: JointBernoulliParams) -> np.ndarray:
+def _start_stride(count: int, k_other: int) -> int:
+    """Rows between the kernel-seeded starts of a boundary pass over ``count``
+    rows: about sqrt(count) starts, fewer where they would outgrow
+    _BLOCK_BYTES."""
+    blocks = min(isqrt(count - 1) + 1, max(1, _BLOCK_BYTES // (8 * (k_other + 1))))
+    return -(-count // blocks)
+
+
+def _pass_seeds(n_star: int, k_hit: int, k_other: int, params: JointBernoulliParams):
+    """The kernel arguments (k, n, p) of the three seeds of ``_boundary_pass``:
+    g, starts and margin.  A pass without rows has empty seeds."""
+    p00, p10, p01, p11 = params.cell_probs
+    theta, rest = p10 + p11, p00 + p01
+    count = n_star - k_hit
+    if count <= 0:
+        return ((np.arange(0), 0, 0.0),) * 3
+    z = np.arange(k_other + 1)
+    return ((z, k_hit, p11 / theta),
+            (k_other - z, np.arange(0, count, _start_stride(count, k_other))[:, None], p01 / rest),
+            (k_hit, np.arange(k_hit, n_star), theta))
+
+
+def _boundary_pass(n_star: int, k_hit: int, k_other: int, params: JointBernoulliParams,
+                   g: np.ndarray, starts: np.ndarray, margin: np.ndarray) -> np.ndarray:
     """Stopping masses across the boundary of the margin in the X places of
     ``params``, with critical value k_hit; the other margin has k_other.
+
+    The seeds come from the kernel (``_pass_seeds``): g is the law of the
+    both-effects count Z ~ Bin(k_hit, p11/theta) given S_hit = k_hit, starts
+    the pmfs f_N of the other-only count W ~ Bin(N, p01/rest) at the start N
+    of each block of rows, both cut at k_other, and margin the row
+    Bin(nu, theta)(k_hit) at nu = k_hit..n_star - 1.
 
     Row 0 is P(M = m, this boundary only), row 1 P(M = m, corner) and row 2
     E[S_other(m); M = m, this boundary only], at column m - 1 for m = 1..n_star.
     """
     p00, p10, p01, p11 = params.cell_probs
-    theta, rest = p10 + p11, p00 + p01
+    rest = p00 + p01
     out = np.zeros((3, n_star))
     count = n_star - k_hit          # rows nu = k_hit..n_star - 1, N = nu - k_hit
     if count <= 0:
         return out
-    # law of the both-effects count Z ~ Bin(k_hit, p11/theta) given S_hit = k_hit
     z = np.arange(k_other + 1)
-    g = _binom_pmf(z, k_hit, p11 / theta)
     cg = np.cumsum(g)
-    # For the pmf f_N and cdf F_N of the other-only count W ~ Bin(N, p01/rest),
-    # sum_j f_N(k_other - j) V[:, j] = sum_z g(z) (F_N(k_other - z),
-    # f_N(k_other - z), E[z + W; W <= k_other - z]), and f_{N + s} against V is
-    # f_N against V stepped s trials along j.  About sqrt(count) starts f_N,
-    # fewer where they would outgrow _BLOCK_BYTES
+    # For the cdf F_N of W, sum_j f_N(k_other - j) V[:, j] = sum_z g(z)
+    # (F_N(k_other - z), f_N(k_other - z), E[z + W; W <= k_other - z]), and
+    # f_{N + s} against V is f_N against V stepped s trials along j
     V = np.stack([cg, g, np.cumsum(z * g) + (k_other - z) * cg])
-    blocks = min(isqrt(count - 1) + 1, max(1, _BLOCK_BYTES // (8 * (k_other + 1))))
-    size = -(-count // blocks)
-    starts = _binom_pmf(k_other - z, np.arange(0, count, size)[:, None], p01 / rest)
+    size = _start_stride(count, k_other)
     row = np.empty((len(starts), 3 * size))
-    for s, v_s in _row_blocks(V, size, p00 / rest, p01 / rest):
+    steps = _side_by_side(k_other + 1, *[(p00 / rest, p01 / rest)] * 3)
+    for s, v_s in _row_blocks(V.ravel(), size, *steps):
         np.matmul(starts, v_s.reshape(-1, k_other + 1).T, out=row[:, 3 * s:3 * (s + len(v_s))])
     # P(S_hit = k_hit, S_other <= k_other), the same with S_other = k_other,
     # and E[S_other; S_hit = k_hit, S_other <= k_other], at nu
-    a, d, b = _binom_pmf(k_hit, np.arange(k_hit, n_star), theta) * row.reshape(-1, 3)[:count].T
+    a, d, b = margin * row.reshape(-1, 3)[:count].T
     out[:, k_hit:] = (p10 * a + p11 * (a - d), p11 * d,
                       p10 * b + p11 * (b - k_other * d + a - d))
     return out
@@ -281,10 +365,13 @@ def _boundary_pass(n_star: int, k_hit: int, k_other: int,
 @lru_cache(maxsize=1)
 def _law(n_star: int, k_x: int, k_y: int, params: JointBernoulliParams):
     """(StoppingPmf, E[min(M, n_star)], E[min(M, n_star)^2], E[theta_hat_x],
-    E[theta_hat_y]) at one point.  Callers share the read-only arrays."""
+    E[theta_hat_y]) at one point, from one kernel call for the seeds of both
+    boundary passes.  Callers share the read-only arrays."""
     low = min(k_x, k_y)
-    x_only, corner, sy_at_x = _boundary_pass(n_star, k_x, k_y, params)[:, low:]
-    y_only, _, sx_at_y = _boundary_pass(n_star, k_y, k_x, params.swapped())[:, low:]
+    passes = ((n_star, k_x, k_y, params), (n_star, k_y, k_x, params.swapped()))
+    seeds = _binom_pmfs(*_pass_seeds(*passes[0]), *_pass_seeds(*passes[1]))
+    x_only, corner, sy_at_x = _boundary_pass(*passes[0], *seeds[:3])[:, low:]
+    y_only, _, sx_at_y = _boundary_pass(*passes[1], *seeds[3:])[:, low:]
     support = np.arange(low + 1, n_star + 1)
     for arr in (support, x_only, y_only, corner):
         arr.flags.writeable = False
@@ -314,17 +401,18 @@ def _alive_mass(n: int, k_x: int, k_y: int, params: JointBernoulliParams) -> flo
     p00, p10, p01, p11 = params.cell_probs
     theta, rest = p10 + p11, p00 + p01
     top = min(k_x, n)
-    mass = _binom_pmf(np.arange(top + 1), n, theta)
     w = np.arange(k_y + 1)
+    mass, w_first = _binom_pmfs((np.arange(top + 1), n, theta), (w, n - top, p01 / rest))
+    z_steps = _side_by_side(k_y + 1, (p10 / theta, p11 / theta))
     total = 0.0
     # W rows for a = top, top - 1, ..., 0; the block's Z rows for a = lo..hi
-    for start, w_law in _row_blocks(_binom_pmf(w, n - top, p01 / rest), top + 1,
-                                    p00 / rest, p01 / rest):
+    for start, w_law in _row_blocks(w_first, top + 1,
+                                    *_side_by_side(k_y + 1, (p00 / rest, p01 / rest))):
         hi = top - start
         lo = hi - len(w_law) + 1
         z_law = np.empty_like(w_law)
         z_law[0] = _binom_pmf(w, lo, p11 / theta) if lo else w == 0   # Bin(0, r): a point mass
-        _bernoulli_rows(z_law, p10 / theta, p11 / theta)
+        _bernoulli_rows(z_law, *z_steps)
         w_cdf = np.cumsum(w_law[::-1], axis=1)          # a = lo..hi
         total += mass[lo:hi + 1] @ np.einsum("az,az->a", z_law, w_cdf[:, ::-1])
     return min(float(total), 1.0)
@@ -395,12 +483,12 @@ def asn_exact(design: BivariateDesign, params: JointBernoulliParams) -> float:
     return _law(design.n_star, design.k_x, design.k_y, params)[1]
 
 
-def _survival(n_star: int, k: int, theta: float) -> np.ndarray:
-    """P(M >= m), m = 1..n_star, for one margin's walk alone: it stops at m
-    with mass theta Bin(m - 1, theta)(k), m >= k + 1.  The subtraction can
-    leave a few -1e-16 where the survival has run out; they are clipped."""
+def _survival(n_star: int, k: int, stops: np.ndarray) -> np.ndarray:
+    """P(M >= m), m = 1..n_star, for one margin's walk alone, from its stopping
+    masses theta Bin(m - 1, theta)(k), m = k + 1..n_star - 1.  The subtraction
+    can leave a few -1e-16 where the survival has run out; they are clipped."""
     s = np.ones(n_star)
-    s[k + 1:] -= np.cumsum(theta * _binom_pmf(k, np.arange(k, n_star - 1), theta))
+    s[k + 1:] -= np.cumsum(stops)
     return np.maximum(s, 0.0, out=s)
 
 
@@ -413,10 +501,13 @@ def asn_bounds(design: BivariateDesign, params: JointBernoulliParams) -> tuple[f
     correlated margins give L1 <= ASN <= min(U1, U2); negative correlation
     flips L1 into an upper bound with the trivial k_lower + 1 floor below;
     independence collapses both to L1.  A margin whose k* reaches n_star
-    never stops alone: its survival is all ones.
+    never stops alone: its survival is all ones.  Both margins' stopping
+    masses come from one kernel call.
     """
-    s_x = _survival(design.n_star, design.k_x, params.theta_x)
-    s_y = _survival(design.n_star, design.k_y, params.theta_y)
+    n_star = design.n_star
+    margins = ((design.k_x, params.theta_x), (design.k_y, params.theta_y))
+    pmfs = _binom_pmfs(*((k, np.arange(k, n_star - 1), theta) for k, theta in margins))
+    s_x, s_y = (_survival(n_star, k, theta * pmf) for (k, theta), pmf in zip(margins, pmfs))
     l1 = float((s_x * s_y).sum())
     if params.rho > 0:
         return l1, float(min(s_x.sum(), s_y.sum()))

@@ -40,10 +40,6 @@ __all__ = [
     "bvn_rect",
 ]
 
-# 20-point Gauss-Legendre rule on [-1, 1]; fixed order keeps results
-# bit-reproducible across calls and platforms.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 # Beyond |z| ~ 39 the normal cdf saturates in float64; clipping there makes
 # +/- inf arguments well defined without special cases.
@@ -55,6 +51,14 @@ def _sp():
     """:mod:`scipy.special`, imported by the first call."""
     from scipy import special
     return special
+
+
+@functools.cache
+def _gauss_legendre():
+    """(nodes, weights) of the 20-point Gauss-Legendre rule on [-1, 1], built
+    by the first call, which imports :mod:`numpy.polynomial`.  The fixed order
+    keeps results bit-reproducible across calls and platforms."""
+    return np.polynomial.legendre.leggauss(20)
 
 
 def reg_inc_beta(x, a, b):
@@ -186,11 +190,12 @@ def _bvn_small_rho(h, k, rho):
     # at r = 0 the integral adds acc * 0.0, so the result is Phi(h)Phi(k) to the bit
     hk = h * k
     hs = 0.5 * (h * h + k * k)
+    nodes, weights = _gauss_legendre()
     asr = np.arcsin(rho)
-    theta = 0.5 * asr * (_GL_NODES + 1.0)  # nodes mapped onto [0, asr]
+    theta = 0.5 * asr * (nodes + 1.0)  # nodes mapped onto [0, asr]
     sn = np.sin(theta)
     expo = (np.outer(hk, sn) - hs[:, None]) / (1.0 - sn * sn)[None, :]
-    acc = np.exp(expo) @ _GL_WEIGHTS
+    acc = np.exp(expo) @ weights
     return _sp().ndtr(h) * _sp().ndtr(k) + acc * (0.5 * asr) / (2.0 * np.pi)
 
 
@@ -218,7 +223,8 @@ def _bvn_large_rho(h, k, rho):
         0.0,
     )
     # correction integral over s in (0, a], xs = s^2
-    s_nodes = 0.5 * a * (_GL_NODES + 1.0)
+    nodes, weights = _gauss_legendre()
+    s_nodes = 0.5 * a * (nodes + 1.0)
     xs = s_nodes * s_nodes
     rs = np.sqrt(1.0 - xs)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -227,7 +233,7 @@ def _bvn_large_rho(h, k, rho):
         t2 = np.exp(-(bs[:, None] / xs[None, :] + hk[:, None]) / 2.0) \
             * (1.0 + np.outer(c, xs) * (1.0 + np.outer(d, xs)))
         integrand = np.where(np.isfinite(t1), t1, 0.0) - np.where(np.isfinite(t2), t2, 0.0)
-    bvn = bvn + (0.5 * a) * (integrand @ _GL_WEIGHTS)
+    bvn = bvn + (0.5 * a) * (integrand @ weights)
     bvn = -bvn / (2.0 * np.pi)
     if rho > 0:
         return bvn + _sp().ndtr(-np.maximum(hh, kk))
@@ -239,9 +245,10 @@ class BivariateNormalParams:
     """Mean vector and covariance matrix of a 2-d normal law.
 
     The entries must be finite, and the covariance symmetric with positive
-    diagonal and nonnegative determinant; rectangle probabilities
-    additionally require positive definiteness.  ``mean`` and ``cov`` are
-    read-only copies, so ``sigmas`` and ``corr``, computed once, stay true.
+    diagonal, nonnegative determinant and a correlation in [-1, 1];
+    rectangle probabilities additionally require positive definiteness.
+    ``mean`` and ``cov`` are read-only copies, so ``sigmas`` and ``corr``,
+    computed once, stay true.
     """
 
     mean: np.ndarray
@@ -266,10 +273,17 @@ class BivariateNormalParams:
         if c00 * c11 - c01 * c10 < -1e-12:
             raise DegenerateCovarianceError("covariance must be positive semidefinite")
         s0, s1 = math.sqrt(c00), math.sqrt(c11)
+        corr = c01 / (s0 * s1)
+        # the determinant check is absolute, so near-singular matrices can
+        # still round to a correlation past +-1
+        if abs(corr) > 1.0:
+            raise DegenerateCovarianceError(
+                f"covariance must be positive semidefinite: its correlation {corr:.17g} "
+                "is outside [-1, 1]")
         sigmas = np.array([s0, s1])
         sigmas.flags.writeable = False
         object.__setattr__(self, "sigmas", sigmas)
-        object.__setattr__(self, "corr", c01 / (s0 * s1))
+        object.__setattr__(self, "corr", corr)
 
 
 def bvn_rect(params: BivariateNormalParams, lo, hi):

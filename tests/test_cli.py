@@ -745,6 +745,20 @@ print('scipy' in sys.modules)
         loaded = _fresh_python("import sys, bivarseq; print(' '.join(sorted(sys.modules)))")
         assert {f"bivarseq.{layer}" for layer in self._LAYERS} <= set(loaded.split())
 
+    def test_import_leaves_cli_and_quadrature_modules_unloaded(self):
+        """The Gauss-Legendre table is built on the first bivariate normal
+        cdf, and the CLI's argparse, csv and hashlib are imported where they
+        are used, so a library import loads none of them, nor scipy."""
+        loaded = set(_fresh_python(
+            "import sys, bivarseq; print(' '.join(sorted(sys.modules)))").split())
+        assert not loaded & {"numpy.polynomial", "hashlib", "argparse", "csv", "scipy"}
+        assert _fresh_python("""
+import sys
+from bivarseq import bvn_cdf
+bvn_cdf(0.1, 0.2, 0.3)
+print('numpy.polynomial' in sys.modules)
+""") == "True\n"
+
     def test_benchmark_names_existing_functions(self):
         """``perfbench/run.py --trace 1`` reads every per-layer metric that
         BENCHMARK.json lists, and the exact-report gate calls
@@ -940,9 +954,9 @@ def test_fuzz_state_documents(edits, cell):
        fault=st.sampled_from(["none", "path is a directory", "missing path"]))
 def test_fuzz_evaluation_io_faults(data, target, fault):
     """Whatever bytes the design, params or table file holds, and whether
-    that path is a directory or missing, ``power``, ``pmf`` and ``analyze
-    --table`` exit 0, 2 or 3 with a message and no traceback; a fault of a
-    path the command reads exits 3."""
+    that path is a directory or missing, ``power``, ``pmf``, ``asn``,
+    ``simulate``, ``export-grid`` and ``analyze --table`` exit 0, 2 or 3 with
+    a message and no traceback; a fault of a path the command reads exits 3."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         files = {name: tmp / f"{name}.json" for name in ("design", "params", "table")}
@@ -954,9 +968,15 @@ def test_fuzz_evaluation_io_faults(data, target, fault):
             files[target] = tmp
         elif fault == "missing path":
             files[target] = tmp / "absent.json"
-        reads = {"power": ("design", "params"), "pmf": ("design", "params"), "analyze": ("table",)}
-        for argv in (("power", "--design", str(files["design"]), "--params", str(files["params"])),
-                     ("pmf", "--design", str(files["design"]), "--params", str(files["params"])),
+        reads = {"power": ("design", "params"), "pmf": ("design", "params"),
+                 "asn": ("design", "params"), "simulate": ("design", "params"),
+                 "export-grid": ("design",), "analyze": ("table",)}
+        margins = ("--design", str(files["design"]), "--params", str(files["params"]))
+        for argv in (("power", *margins), ("pmf", *margins), ("asn", *margins),
+                     ("simulate", *margins, "--reps", "5", "--seed", "1"),
+                     ("export-grid", "--design", str(files["design"]), "--rho", "0.1",
+                      "--theta-x-min", "0.1", "--theta-x-max", "0.3", "--theta-y-min", "0.1",
+                      "--theta-y-max", "0.3", "--steps", "3"),
                      ("analyze", "--table", str(files["table"]))):
             code, _, err = _main_exit(*argv)
             assert code in (0, 2, 3), (argv[0], code, err)

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from math import isqrt
@@ -220,6 +221,12 @@ class TestOneLaw:
         assert before[1:] == after[1:]
 
 
+def seeded_pass(*args):
+    """One boundary pass, seeded by the kernel as the stopping law seeds it."""
+    return exact_engine._boundary_pass(
+        *args, *exact_engine._binom_pmfs(*exact_engine._pass_seeds(*args)))
+
+
 class TestBoundaryPass:
     """The pass seeds blocks of rows from the kernel and steps V; the
     geometry of those blocks must not show in the masses."""
@@ -248,7 +255,7 @@ class TestBoundaryPass:
         n, k_x, k_y, low = design.n_star, design.k_x, design.k_y, design.k_lower
         for args, only in (((n, k_x, k_y, params), dp.mass_x),
                            ((n, k_y, k_x, params.swapped()), dp.mass_y)):
-            got, want = exact_engine._boundary_pass(*args), boundary_pass_stepped(*args)
+            got, want = seeded_pass(*args), boundary_pass_stepped(*args)
             big = want > 1e-280
             np.testing.assert_allclose(got[big], want[big], rtol=1e-13, atol=0)
             assert np.all(got[~big] <= 1e-280)
@@ -259,7 +266,7 @@ class TestBoundaryPass:
         """k* at or past the pooled n*: no rows, no mass, in both routes."""
         params = make_params(0.2, 0.25, 0.3)
         for k_hit in (10, 12):
-            got = exact_engine._boundary_pass(10, k_hit, 2, params)
+            got = seeded_pass(10, k_hit, 2, params)
             np.testing.assert_array_equal(got, np.zeros((3, 10)))
             np.testing.assert_array_equal(got, boundary_pass_stepped(10, k_hit, 2, params))
 
@@ -271,7 +278,7 @@ class TestBoundaryPass:
         monkeypatch.setattr(exact_engine, "_bernoulli_rows",
                             lambda rows, *args: steps.append(len(rows) - 1)
                             or bernoulli_rows(rows, *args))
-        exact_engine._boundary_pass(1154, 143, 135, make_params(0.065, 0.13, 0.1))
+        seeded_pass(1154, 143, 135, make_params(0.065, 0.13, 0.1))
         assert 0 < sum(steps) <= 2 * (isqrt(1154 - 143) + 1)
 
 
@@ -326,6 +333,29 @@ class TestBinomialKernel:
             np.copyto(want, np.power(p, n), where=n - k <= 0)
         np.copyto(want, 0.0, where=n - k < 0)
         np.testing.assert_array_equal(got, want)
+
+    def test_array_p_gives_the_bits_of_one_call_per_law(self):
+        """One call over several laws, with p an array, returns for each
+        element the bits of that element's law evaluated alone; the merged
+        calls of the engine rest on this."""
+        rng = np.random.default_rng(7)
+        size = 400
+        k, n = rng.integers(0, 300, size), rng.integers(0, 300, size)
+        k[:40] = 0
+        k[40:80] = n[40:80]
+        p = rng.choice([0.0, 1.0, 0.5, 1e-9, 1 - 1e-9, 0.07, 0.93, *rng.uniform(size=8)], size)
+        got = exact_engine._binom_pmf(k, n, p)
+        for i in range(size):
+            alone = exact_engine._binom_pmf(k[i:i + 1], n[i], float(p[i]))
+            assert got[i].tobytes() == alone.tobytes(), (k[i], n[i], p[i])
+        # and the gathered form returns each law in its own broadcast shape
+        z = np.arange(9)
+        laws = [(z, 40, 0.3), (8 - z, np.arange(0, 30, 7)[:, None], 0.8),
+                (5, np.arange(5, 60), 0.1)]
+        for part, (kk, nn, pp) in zip(exact_engine._binom_pmfs(*laws), laws):
+            alone = exact_engine._binom_pmf(kk, nn, pp)
+            assert part.shape == alone.shape
+            assert part.tobytes() == alone.tobytes()
 
     def test_degenerate_probabilities(self):
         k = np.arange(7)
@@ -534,3 +564,182 @@ def test_import_leaves_scipy_stats_unloaded():
          "import sys, bivarseq; print('scipy.stats' in sys.modules)"],
         capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+# float.hex of every exact output, and a SHA-256 of the three per-boundary
+# mass arrays, under the default block budget (None) and a 1024-byte one, at
+# a null point, an alternative and a rho = 0.5 point where the corner carries
+# mass.  The small budget splits the alive rows, the start grids and the V
+# chunks into many blocks, so it pins the block geometry too.
+_ENGINE_PINS = {
+    ('fig121', (0.05, 0.1, 0.1), None): (
+        '1b800fe8439d082ffe7bfbda5e930a06c82cecf4f7ab29248cdfd946afb41fd9',
+        '0x1.ef96a7fb4fce2p-1', '0x1.0695804b031e0p-5', '0x1.e2a94f364be5ap+6',
+        '0x1.89349378cc800p+2', '0x1.508e4b7b5f5e1p-6', '0x1.e2a94efa87f2bp+6',
+        '0x1.e2a9532c17bb0p+6', '0x1.99beb74c13740p-5', '0x1.9a98ce44aa05fp-4',
+    ),
+    ('fig121', (0.1, 0.2, -0.05), None): (
+        '33f5aa0cdab964888376185c85782d3a8887f1d74385446ee177a034109c40c9',
+        '0x1.7a8796005b25dp-4', '0x1.d0af0d3ff49b4p-1', '0x1.77492212824cbp+6',
+        '0x1.2614dc7eb0660p+8', '0x1.76560fa341474p-3', '0x1.3000000000000p+4',
+        '0x1.77501078f50fdp+6', '0x1.98807f7a71c2ap-4', '0x1.aa18240d6f9a3p-3',
+    ),
+    ('fig121', (0.12, 0.12, 0.5), None): (
+        'a6d092cfa0dce4d9d1989df83c14c821e2d4f6b3a5f657626ff89d5d9f20bc87',
+        '0x1.a21fcf9b8841ap-1', '0x1.7780c191def98p-3', '0x1.daa177042238fp+6',
+        '0x1.6731676b8f900p+5', '0x1.ce9b9d746d3fep-5', '0x1.d99956e8d0a3dp+6',
+        '0x1.dd37de0a1bcaep+6', '0x1.ef6acdbf8711ap-4', '0x1.f0478682ed926p-4',
+    ),
+    ('criterion10a', (0.05, 0.1, 0.1), None): (
+        'dc69bc80007e751581cf29549b3e69e8aa42ea7c4ef841a2dd9900cf8d37511e',
+        '0x1.eb7de25eff530p-1', '0x1.4821da100ad00p-5', '0x1.353fb1837e69cp+8',
+        '0x1.88d6e4b110000p+4', '0x1.0684aa4502ab2p-6', '0x1.353fb1837c2d2p+8',
+        '0x1.353fb18392d4bp+8', '0x1.99abb54bb3cd0p-5', '0x1.9a163aa3eccd2p-4',
+    ),
+    ('criterion10a', (0.1, 0.2, -0.05), None): (
+        '329a8fba0726200554f4cf419f113e16a4b10113fdd5ae863f857bb0e7def9e6',
+        '0x1.6614c1343dbaep-11', '0x1.ffa67acfb2f09p-1', '0x1.99fb4843d689ap+7',
+        '0x1.990222c43c2c0p+9', '0x1.1dbe6465bbae6p-3', '0x1.4800000000000p+5',
+        '0x1.99fb88084f7b9p+7', '0x1.98fe5d8ea6b8ep-4', '0x1.a1b46b02c76a7p-3',
+    ),
+    ('criterion10a', (0.12, 0.12, 0.5), None): (
+        'c348ff2d06c764c5358f5fc4eae768ca0770e97538123ea3b780db087db6b38f',
+        '0x1.56106fa5b519cp-1', '0x1.53df20b495cc8p-2', '0x1.2d163082e86b7p+8',
+        '0x1.3467fb0a5ec00p+8', '0x1.ddd0af239e11bp-5', '0x1.2c1ff0c1f1347p+8',
+        '0x1.2e9449c365d4bp+8', '0x1.ee178d57f85ecp-4', '0x1.ef1f6be5c2c55p-4',
+    ),
+    ('delta03', (0.05, 0.1, 0.1), None): (
+        '39d7b1f8090efd444d69c25086e6a5edfb87517759248fc6155edbf8a8b79686',
+        '0x1.f283b4ada3d80p-1', '0x1.af896a4b85000p-6', '0x1.204304acc21d7p+10',
+        '0x1.eb456274d8000p+5', '0x1.bd65efa01660bp-8', '0x1.204304acc21d8p+10',
+        '0x1.204304acc21d8p+10', '0x1.999cc208d9208p-5', '0x1.99af55a0d5796p-4',
+    ),
+    ('delta03', (0.1, 0.2, -0.05), None): (
+        '6c2837c04caae6a5642aba0d75ede3a94c3595e9ea5547beea9744ba3c22db5d',
+        '0x1.7fec0eeffcb12p-45', '0x1.ffffffffffe80p-1', '0x1.53ffffffff113p+9',
+        '0x1.53ffffff8dc00p+11', '0x1.3a261ba6a3b7fp-4', '0x1.1000000000000p+7',
+        '0x1.53ffffffffb48p+9', '0x1.996b2296c4040p-4', '0x1.9c0521bf6a431p-3',
+    ),
+    ('delta03', (0.12, 0.12, 0.5), None): (
+        '28b6bd698629fa3f76697506d743c3cccf1752708141baf984af01b0f196d81d',
+        '0x1.5b0478f6ebfb2p-2', '0x1.527dc3848a027p-1', '0x1.133247851460dp+10',
+        '0x1.b730045eb5600p+11', '0x1.b91ed70358ef0p-5', '0x1.11d51691c6c22p+10',
+        '0x1.148a33d82311cp+10', '0x1.ecd7bb7833c84p-4', '0x1.ed806ab8932eep-4',
+    ),
+    ('fig121', (0.05, 0.1, 0.1), 1024): (
+        '60402c054884a62bc213afb2531b39e4368ba37547ea33adede702a8c8585f43',
+        '0x1.ef96a7fb4fce2p-1', '0x1.0695804b031e0p-5', '0x1.e2a94f364be5ap+6',
+        '0x1.89349378cc800p+2', '0x1.508e4b7b5f5e1p-6', '0x1.e2a94efa87f2bp+6',
+        '0x1.e2a9532c17bb0p+6', '0x1.99beb74c13740p-5', '0x1.9a98ce44aa05fp-4',
+    ),
+    ('fig121', (0.1, 0.2, -0.05), 1024): (
+        'de575ae1039698722a491b1642af1527f534e4b41eca18bba92114d81dc70983',
+        '0x1.7a8796005b260p-4', '0x1.d0af0d3ff49b4p-1', '0x1.77492212824cap+6',
+        '0x1.2614dc7eb0660p+8', '0x1.76560fa341475p-3', '0x1.3000000000000p+4',
+        '0x1.77501078f50fdp+6', '0x1.98807f7a71c28p-4', '0x1.aa18240d6f9a4p-3',
+    ),
+    ('fig121', (0.12, 0.12, 0.5), 1024): (
+        'e59749792141998b87b75b732dd1e176121cb964a4b26c468e780cbf1dfd0330',
+        '0x1.a21fcf9b8841fp-1', '0x1.7780c191def84p-3', '0x1.daa177042238fp+6',
+        '0x1.6731676b8f900p+5', '0x1.ce9b9d746d3fep-5', '0x1.d99956e8d0a3dp+6',
+        '0x1.dd37de0a1bcaep+6', '0x1.ef6acdbf8711ap-4', '0x1.f0478682ed926p-4',
+    ),
+    ('criterion10a', (0.05, 0.1, 0.1), 1024): (
+        '92f72f4cfb0785c88d9676c57cf2a621aa2674d6e1142a6b586eb790bdd93f58',
+        '0x1.eb7de25eff530p-1', '0x1.4821da100ad00p-5', '0x1.353fb1837e69cp+8',
+        '0x1.88d6e4b110000p+4', '0x1.0684aa4502ab2p-6', '0x1.353fb1837c2d2p+8',
+        '0x1.353fb18392d4bp+8', '0x1.99abb54bb3cd0p-5', '0x1.9a163aa3eccd2p-4',
+    ),
+    ('criterion10a', (0.1, 0.2, -0.05), 1024): (
+        '6f8ed57baa480a8636f8f846918ca13cfa9326cd76da196c50106dc72312ee02',
+        '0x1.6614c1343dbacp-11', '0x1.ffa67acfb2f09p-1', '0x1.99fb4843d6890p+7',
+        '0x1.990222c43c200p+9', '0x1.1dbe6465bbaabp-3', '0x1.4800000000000p+5',
+        '0x1.99fb88084f7b9p+7', '0x1.98fe5d8ea6b90p-4', '0x1.a1b46b02c76a6p-3',
+    ),
+    ('criterion10a', (0.12, 0.12, 0.5), 1024): (
+        '4677039dfb8a1a55285f53a1d324393373bb9a4c4f2169c121a0621747e31ba1',
+        '0x1.56106fa5b51a9p-1', '0x1.53df20b495caep-2', '0x1.2d163082e86b6p+8',
+        '0x1.3467fb0a5ec00p+8', '0x1.ddd0af239e11cp-5', '0x1.2c1ff0c1f1347p+8',
+        '0x1.2e9449c365d4bp+8', '0x1.ee178d57f85eap-4', '0x1.ef1f6be5c2c55p-4',
+    ),
+    ('delta03', (0.05, 0.1, 0.1), 1024): (
+        '04f6a4bae745e04e2b6c6a32c575f2c0e20fa980fe48081e87245e666123aae1',
+        '0x1.f283b4ada3d7ep-1', '0x1.af896a4b85040p-6', '0x1.204304acc21d7p+10',
+        '0x1.eb456274d8000p+5', '0x1.bd65efa01660bp-8', '0x1.204304acc21d8p+10',
+        '0x1.204304acc21d8p+10', '0x1.999cc208d9209p-5', '0x1.99af55a0d5796p-4',
+    ),
+    ('delta03', (0.1, 0.2, -0.05), 1024): (
+        '9b82f32dea460b629df4d7ae58ba5159b205a47539be49480f356daf62b7cd83',
+        '0x1.7fec0eeffcb0cp-45', '0x1.ffffffffffe80p-1', '0x1.53ffffffff10cp+9',
+        '0x1.53ffffff8d700p+11', '0x1.3a261ba6a3937p-4', '0x1.1000000000000p+7',
+        '0x1.53ffffffffb48p+9', '0x1.996b2296c40abp-4', '0x1.9c0521bf6a431p-3',
+    ),
+    ('delta03', (0.12, 0.12, 0.5), 1024): (
+        'd9b3a154daf232e93af82e69fa9896ab5b516a88b79603887157c5d6e30fabb7',
+        '0x1.5b0478f6ebfdfp-2', '0x1.527dc3848a010p-1', '0x1.1332478514602p+10',
+        '0x1.b730045eb5600p+11', '0x1.b91ed70358f02p-5', '0x1.11d51691c6c22p+10',
+        '0x1.148a33d82311cp+10', '0x1.ecd7bb7833c88p-4', '0x1.ed806ab8932efp-4',
+    ),
+}
+_ENGINE_DESIGNS = {"fig121": (121, 19, 18), "criterion10a": (310, 43, 40),
+                   "delta03": (1154, 143, 135)}
+
+
+def _clear_engine_memos():
+    exact_engine._law.cache_clear()
+    exact_engine._alive_mass.cache_clear()
+
+
+@pytest.fixture
+def fresh_memos():
+    """Memos cleared before and after, so that no law computed under a
+    patched _BLOCK_BYTES outlives the patch."""
+    _clear_engine_memos()
+    yield
+    _clear_engine_memos()
+
+
+def _engine_outputs(design, params):
+    pmf = stopping_pmf_exact(design, params)
+    digest = hashlib.sha256()
+    for arr in (pmf.mass_x, pmf.mass_y, pmf.mass_corner):
+        digest.update(arr.tobytes())
+    return (digest.hexdigest(), *(float(v).hex() for v in (
+        pmf.continue_mass, power_exact(design, params), asn_exact(design, params),
+        *variance_cv(design, params), *asn_bounds(design, params),
+        estimator_expectation_exact(design, params, "x"),
+        estimator_expectation_exact(design, params, "y"))))
+
+
+@pytest.mark.parametrize("name, point, block_bytes", sorted(_ENGINE_PINS, key=repr))
+def test_engine_outputs_pinned(monkeypatch, fresh_memos, name, point, block_bytes):
+    """Every exact output is bit-identical to the pinned value."""
+    if block_bytes is not None:
+        monkeypatch.setattr(exact_engine, "_BLOCK_BYTES", block_bytes)
+    design = make_design(*_ENGINE_DESIGNS[name])
+    assert _engine_outputs(design, make_params(*point)) == _ENGINE_PINS[name, point, block_bytes]
+
+
+def test_surface_point_kernel_calls(monkeypatch, fresh_memos):
+    """The exact part of one power-and-bias surface point (power, both
+    estimator expectations, the ASN bounds) makes at most five kernel calls,
+    one of them for the whole stopping law."""
+    callers = []
+    kernel = exact_engine._binom_pmf
+    owners = ("_law", "_alive_mass", "asn_bounds")
+
+    def counted(*args):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name not in owners:
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return kernel(*args)
+
+    monkeypatch.setattr(exact_engine, "_binom_pmf", counted)
+    design, params = make_design(310, 43, 40), make_params(0.08, 0.16, 0.2)
+    power_exact(design, params)
+    estimator_expectation_exact(design, params, "x")
+    estimator_expectation_exact(design, params, "y")
+    asn_bounds(design, params)
+    assert len(callers) <= 5
+    assert callers.count("_law") == 1

@@ -258,6 +258,28 @@ class TestBvnRect:
             BivariateNormalParams(mean=np.zeros(2),
                                   cov=np.array([[-1.0, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("cov", [
+        ((1.0, 1.0 + 1e-13), (1.0 + 1e-13, 1.0)),
+        # exactly singular, but the correlation rounds to 1 + 2.2e-16
+        ((3e8, np.sqrt(2.1e17)), (np.sqrt(2.1e17), 7e8)),
+    ])
+    def test_rejects_correlation_beyond_one(self, cov):
+        """The determinant check is absolute, so it lets these through; the
+        correlation check does not."""
+        cov = np.array(cov)
+        assert cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2 >= -1e-12
+        with pytest.raises(DegenerateCovarianceError, match="outside"):
+            BivariateNormalParams(mean=np.zeros(2), cov=cov)
+        with pytest.raises(DegenerateCovarianceError, match="outside"):
+            BivariateNormalParams(mean=np.zeros(2), cov=cov * [[1, -1], [-1, 1]])
+
+    def test_correlation_of_one_is_kept(self):
+        """A correlation of exactly +-1 constructs; the callers refuse it."""
+        for sign in (1.0, -1.0):
+            params = BivariateNormalParams(mean=np.zeros(2),
+                                           cov=np.array([[1.0, sign], [sign, 1.0]]))
+            assert params.corr == sign
+
     @pytest.mark.parametrize("mean, cov", [
         ((0.0, 0.0), ((np.inf, 0.0), (0.0, 1.0))),
         ((0.0, 0.0), ((1.0, np.inf), (np.inf, 1.0))),
