@@ -25,14 +25,14 @@ from .special_functions import (
 from .params import JointBernoulliParams, condition_a_bounds, make_params, rho_from_p11
 from .design import (
     BivariateDesign,
+    LatticeCounts,
     MarginalDesign,
+    StoppingPmf,
     combine,
     critical_value_for_n,
     design_marginal,
 )
 from .exact_engine import (
-    LatticeCounts,
-    StoppingPmf,
     asn_bounds,
     asn_exact,
     estimator_expectation_exact,

@@ -30,9 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .design import BivariateDesign
+from .design import BivariateDesign, StoppingPmf
 from .errors import DegenerateCovarianceError
-from .exact_engine import StoppingPmf
 from .params import JointBernoulliParams
 from .special_functions import BivariateNormalParams, bvn_cdf, norm_cdf, norm_pdf
 

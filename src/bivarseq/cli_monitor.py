@@ -28,9 +28,8 @@ from typing import Optional, TextIO
 import numpy as np
 
 from . import asymptotic_engine, design as design_mod, exact_engine, inference
-from .design import BivariateDesign, _flat_fields, combine
+from .design import BivariateDesign, LatticeCounts, _flat_fields, _table_cells, combine
 from .errors import BivarseqError, MonitorStateError, SequencingError
-from .exact_engine import LatticeCounts
 from .params import JointBernoulliParams, make_params
 from .simulator import Event, monte_carlo, run_test, sample_stream
 
@@ -61,14 +60,6 @@ class MonitorState:
     def status(self) -> str:
         return _status(self.design, self.counts)[0]
 
-    @property
-    def s_x(self) -> int:
-        return self.counts.s_x
-
-    @property
-    def s_y(self) -> int:
-        return self.counts.s_y
-
 
 def monitor_step(state: MonitorState, event: Event) -> tuple[MonitorState, dict]:
     """Feed one event through the stopping rule.
@@ -85,12 +76,8 @@ def monitor_step(state: MonitorState, event: Event) -> tuple[MonitorState, dict]
             f"expected seq {state.last_seq + 1}, got {event.seq}")
 
     c = state.counts
-    counts = LatticeCounts(
-        n00=c.n00 + (1 - event.x) * (1 - event.y),
-        n10=c.n10 + event.x * (1 - event.y),
-        n01=c.n01 + (1 - event.x) * event.y,
-        n11=c.n11 + event.x * event.y,
-    )
+    counts = LatticeCounts(*_table_cells(event.seq, c.s_x + event.x, c.s_y + event.y,
+                                         c.n11 + event.x * event.y))
     d = state.design
     status, decision = _status(d, counts)
     record = {
@@ -135,8 +122,9 @@ def state_save(state: MonitorState) -> dict:
     }
 
 
+_TABLE_FIELDS = dict.fromkeys(("n00", "n10", "n01", "n11"), int)
 _STATE_FIELDS = {"version": int, "design_hash": str, "last_seq": int, "status": str,
-                 "counts": dict.fromkeys(("n00", "n10", "n01", "n11"), int)}
+                 "counts": _TABLE_FIELDS}
 
 
 def state_load(doc: dict) -> MonitorState:
@@ -155,15 +143,16 @@ def state_load(doc: dict) -> MonitorState:
         if isinstance(exc, MonitorStateError):
             raise
         raise MonitorStateError(f"corrupt state document: {exc}") from exc
-    # the document's last_seq and status must be the ones its counts give
+    # the document's last_seq and status must be the ones its counts give, and a
+    # run reaches them: empty, or one event after a table the rule continues from
     c, last_seq = state.counts, fields["last_seq"]
     if c.total != last_seq:
         raise MonitorStateError(
             f"counts total {c.total} does not match last_seq {last_seq}")
-    if c.s_x > design.k_x + 1 or c.s_y > design.k_y + 1:
-        raise MonitorStateError("counts exceed a reachable boundary state")
-    if last_seq > design.n_star:
-        raise MonitorStateError("last_seq exceeds the curtailment size")
+    if c.total and not any(
+            n > 0 and design.decide(c.s_x - x, c.s_y - y, c.total - 1)[0] == "continue"
+            for n, x, y in ((c.n00, 0, 0), (c.n10, 1, 0), (c.n01, 0, 1), (c.n11, 1, 1))):
+        raise MonitorStateError("counts are not a table the stopping rule can reach")
     if fields["status"] != state.status:
         raise MonitorStateError(
             f"status {fields['status']!r} inconsistent with counts "
@@ -318,11 +307,9 @@ def _cmd_analyze(args) -> dict:
     if args.table:
         what = f"table file {args.table}"
         doc = _parse_json(Path(args.table).read_bytes(), what)
-        counts = LatticeCounts(**_flat_fields(doc, what,
-                                              dict.fromkeys(("n00", "n10", "n01", "n11"), int)))
+        counts = LatticeCounts(**_flat_fields(doc, what, _TABLE_FIELDS))
     else:
-        n00, n10, n01, n11 = args.counts
-        counts = LatticeCounts(n00=n00, n10=n10, n01=n01, n11=n11)
+        counts = LatticeCounts(*args.counts)
     est = inference.post_test_estimate(counts)
     result = {"estimate": est.to_dict(),
               "region": inference.confidence_region(est, args.level).to_dict()}
@@ -395,7 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", choices=("json", "csv"), default="json",
                         help="output format for results")
     parser.add_argument("--quiet", action="store_true",
-                        help="suppress informational messages")
+                        help="omit the error: or i/o error: line of a failed "
+                             "run; the exit code is unchanged")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="size the pooled two-margin design")
@@ -484,6 +472,10 @@ def main(argv: Optional[list[str]] = None, out: TextIO = None) -> int:
     if args.command == "analyze" and not (args.table or args.counts):
         parser.error("analyze requires --counts or --table")
     try:
+        for flag in ("--steps", "--emit-ellipse-points", "--max-stream-files"):
+            value = getattr(args, flag[2:].replace("-", "_"), 0)
+            if value < 0:                   # a negative count, refused before any work
+                raise ValueError(f"{flag} must be >= 0, got {value}")
         if args.command == "monitor":
             return _cmd_monitor(args, out)
         result = _COMMANDS[args.command](args)

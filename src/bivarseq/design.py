@@ -18,6 +18,9 @@ S_{N+1} >= S_N, the size at a fixed k never decreases in N, so neither does
 the smallest valid k, and each N costs about two incomplete-beta calls.  The
 pooled design stops at N* = min of the margins while each margin keeps its
 own critical value.
+
+Beside the stopping rule, ``BivariateDesign.decide``, sit the 2x2 table of a
+run, ``LatticeCounts``, and the stopping-time law, ``StoppingPmf``.
 """
 
 from __future__ import annotations
@@ -27,11 +30,15 @@ import reprlib
 import sys
 from dataclasses import dataclass, asdict
 
+import numpy as np
+
 from .special_functions import norm_quantile, reg_inc_beta
 
 __all__ = [
     "MarginalDesign",
     "BivariateDesign",
+    "LatticeCounts",
+    "StoppingPmf",
     "design_marginal",
     "critical_value_for_n",
     "combine",
@@ -156,6 +163,78 @@ class BivariateDesign:
                 raise ValueError(f"design document: field {f!r} is {value}, but the "
                                  f"margins give {given[f]}")
         return design
+
+
+@dataclass(frozen=True)
+class LatticeCounts:
+    """Terminal 2x2 contingency counts of one test run."""
+
+    n00: int
+    n10: int
+    n01: int
+    n11: int
+
+    def __post_init__(self):
+        if min(self.n00, self.n10, self.n01, self.n11) < 0:
+            raise ValueError("counts must be nonnegative")
+
+    @property
+    def total(self) -> int:
+        return self.n00 + self.n10 + self.n01 + self.n11
+
+    @property
+    def s_x(self) -> int:
+        return self.n10 + self.n11
+
+    @property
+    def s_y(self) -> int:
+        return self.n01 + self.n11
+
+
+@dataclass(frozen=True)
+class StoppingPmf:
+    """Distribution of the stopping time over [k_lower+1, n_star], split by
+    boundary, plus the mass of never stopping before curtailment."""
+
+    support: np.ndarray
+    mass_x: np.ndarray
+    mass_y: np.ndarray
+    mass_corner: np.ndarray
+    continue_mass: float
+
+    def __post_init__(self):
+        n = len(self.support)
+        if not (len(self.mass_x) == len(self.mass_y) == len(self.mass_corner) == n):
+            raise ValueError("per-boundary mass arrays must match the support")
+        for arr in (self.mass_x, self.mass_y, self.mass_corner):
+            if np.any(np.asarray(arr) < -1e-12):
+                raise ValueError("stopping masses must be nonnegative")
+
+    @property
+    def pmf(self) -> np.ndarray:
+        """Total P(M = m) over the support."""
+        return self.mass_x + self.mass_y + self.mass_corner
+
+    @property
+    def rejection_mass(self) -> float:
+        return float(self.pmf.sum())
+
+    def total_mass(self) -> float:
+        return self.rejection_mass + self.continue_mass
+
+    def moments(self, n_star: int) -> tuple[float, float]:
+        """(E[min(M, n_star)], E[min(M, n_star)^2])."""
+        pmf = self.pmf
+        n2 = float(n_star) ** 2
+        mean = n_star - ((n_star - self.support) * pmf).sum()
+        second = n2 - ((n2 - self.support.astype(float) ** 2) * pmf).sum()
+        return float(mean), float(second)
+
+
+def _table_cells(m, s_x, s_y, n11):
+    """Cells (n00, n10, n01, n11) of the table of m observations with margins
+    (s_x, s_y) and n11 both-effects ones; for ints or integer arrays."""
+    return m - s_x - s_y + n11, s_x - n11, s_y - n11, n11
 
 
 _MARGIN_FIELDS = {"alpha_tilde": float, "beta": float, "theta0": float, "theta1": float,

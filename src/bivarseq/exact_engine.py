@@ -44,7 +44,8 @@ bounded block at a time:
 The engine keeps the law of the last (design, params) point, which the pmf,
 the moments and both estimators read, and the last P(M > n_star), which the
 power and the law share.  The ASN bounds read one survival vector per
-margin, both from one kernel call.  The engine needs no scipy at all.
+margin, both from one kernel call.  The engine needs no scipy at all.  Its
+law is a ``StoppingPmf`` of ``design``, the type both engines return.
 
 A forward dynamic program over the alive lattice is an independent route to
 the same distribution, kept as the test suite's oracle.
@@ -52,19 +53,16 @@ the same distribution, kept as the test suite's oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import isqrt
 
 import numpy as np
 
-from .design import BivariateDesign
+from .design import BivariateDesign, StoppingPmf
 from .params import JointBernoulliParams
 
 __all__ = [
-    "LatticeCounts",
-    "StoppingPmf",
     "non_rejection_prob",
     "power_exact",
     "stopping_pmf_exact",
@@ -74,72 +72,6 @@ __all__ = [
     "variance_cv",
     "estimator_expectation_exact",
 ]
-
-
-@dataclass(frozen=True)
-class LatticeCounts:
-    """Terminal 2x2 contingency counts of one test run."""
-
-    n00: int
-    n10: int
-    n01: int
-    n11: int
-
-    def __post_init__(self):
-        if min(self.n00, self.n10, self.n01, self.n11) < 0:
-            raise ValueError("counts must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return self.n00 + self.n10 + self.n01 + self.n11
-
-    @property
-    def s_x(self) -> int:
-        return self.n10 + self.n11
-
-    @property
-    def s_y(self) -> int:
-        return self.n01 + self.n11
-
-
-@dataclass(frozen=True)
-class StoppingPmf:
-    """Distribution of the stopping time over [k_lower+1, n_star], split by
-    boundary, plus the mass of never stopping before curtailment."""
-
-    support: np.ndarray
-    mass_x: np.ndarray
-    mass_y: np.ndarray
-    mass_corner: np.ndarray
-    continue_mass: float
-
-    def __post_init__(self):
-        n = len(self.support)
-        if not (len(self.mass_x) == len(self.mass_y) == len(self.mass_corner) == n):
-            raise ValueError("per-boundary mass arrays must match the support")
-        for arr in (self.mass_x, self.mass_y, self.mass_corner):
-            if np.any(np.asarray(arr) < -1e-12):
-                raise ValueError("stopping masses must be nonnegative")
-
-    @property
-    def pmf(self) -> np.ndarray:
-        """Total P(M = m) over the support."""
-        return self.mass_x + self.mass_y + self.mass_corner
-
-    @property
-    def rejection_mass(self) -> float:
-        return float(self.pmf.sum())
-
-    def total_mass(self) -> float:
-        return self.rejection_mass + self.continue_mass
-
-    def moments(self, n_star: int) -> tuple[float, float]:
-        """(E[min(M, n_star)], E[min(M, n_star)^2])."""
-        pmf = self.pmf
-        n2 = float(n_star) ** 2
-        mean = n_star - ((n_star - self.support) * pmf).sum()
-        second = n2 - ((n2 - self.support.astype(float) ** 2) * pmf).sum()
-        return float(mean), float(second)
 
 
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n) for n = 0..15 (0 at n = 0);

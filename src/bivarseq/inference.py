@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exact_engine import LatticeCounts
+from .design import LatticeCounts
 from .params import rho_from_p11
 from .special_functions import norm_quantile
 
@@ -127,11 +127,11 @@ def _plug_in(s_x, s_y, n11, m):
     return thx, thy, p11, sigma, singular
 
 
-def _wald_covers(plug_in, m, theta_x, theta_y, level):
-    """Whether each table's Wald region at ``level`` holds (theta_x, theta_y):
-    M*(theta_hat-theta)' Sigma_hat^-1 (theta_hat-theta) <= c, for the
-    :func:`_plug_in` values of the tables.  A singular table's region is the
-    point theta_hat, and it counts as not holding theta.
+def _wald_covers(plug_in, m, theta_x, theta_y, c):
+    """Whether each table's Wald region holds (theta_x, theta_y):
+    M*(theta_hat-theta)' Sigma_hat^-1 (theta_hat-theta) <= c, the region's
+    chi-square(2) quantile, for the :func:`_plug_in` values of the tables.
+    A singular table's region is the point theta_hat, which does not hold theta.
     """
     thx, thy, _, sigma, singular = plug_in
     s11, s12, s22 = sigma[..., 0, 0], sigma[..., 0, 1], sigma[..., 1, 1]
@@ -140,7 +140,7 @@ def _wald_covers(plug_in, m, theta_x, theta_y, level):
     with np.errstate(divide="ignore", invalid="ignore"):
         quad = m * (s22 * dx * dx - 2 * s12 * dx * dy + s11 * dy * dy) / (
             s11 * s22 - s12 * s12)
-    return ~singular & (quad <= chi2_quantile_2df(level))
+    return ~singular & (quad <= c)
 
 
 def post_test_estimate(counts: LatticeCounts) -> PostTestEstimate:

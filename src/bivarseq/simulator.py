@@ -33,10 +33,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .design import _BOUNDARIES, BivariateDesign
+from .design import _BOUNDARIES, BivariateDesign, LatticeCounts, _table_cells
 from .errors import SequencingError, StreamExhaustedError
-from .exact_engine import LatticeCounts
-from .inference import _plug_in, _wald_covers
+from .inference import _plug_in, _wald_covers, chi2_quantile_2df
 from .params import JointBernoulliParams
 
 __all__ = [
@@ -192,10 +191,8 @@ def run_test(design: BivariateDesign, stream: Iterable[Event]) -> TestOutcome:
         # a per-event decide() call would triple the loop's cost; call it once
         if s_x > k_x or s_y > k_y or consumed == n_star:
             decision, boundary = design.decide(s_x, s_y, consumed)
-            counts = LatticeCounts(n00=consumed - s_x - s_y + n11, n10=s_x - n11,
-                                   n01=s_y - n11, n11=n11)
-            return TestOutcome(decision=decision, m_star=consumed,
-                               boundary=boundary, counts=counts)
+            return TestOutcome(decision=decision, m_star=consumed, boundary=boundary,
+                               counts=LatticeCounts(*_table_cells(consumed, s_x, s_y, n11)))
     raise StreamExhaustedError(consumed)
 
 
@@ -240,8 +237,7 @@ def replicate_outcomes(design: BivariateDesign, params: JointBernoulliParams,
         sx_m, sy_m, n11_m = (a.searchsorted(row0 + m) - a0 for a, a0 in zip(at, first))
         m_star[lo:lo + n] = m
         code[lo:lo + n] = design._boundary_code(sx_m, sy_m)
-        table[lo:lo + n] = np.stack(
-            (m - sx_m - sy_m + n11_m, sx_m - n11_m, sy_m - n11_m, n11_m), axis=1)
+        table[lo:lo + n] = np.stack(_table_cells(m, sx_m, sy_m, n11_m), axis=1)
     return m_star, code, table
 
 
@@ -276,6 +272,7 @@ def monte_carlo(design: BivariateDesign, params: JointBernoulliParams,
     :func:`~bivarseq.inference.post_test_estimate`, so a replicate whose
     table is singular there does not cover.
     """
+    c = chi2_quantile_2df(level)            # refuse a bad level before any draw
     m_star, code, table = replicate_outcomes(design, params, reps, seed,
                                              chunk_size)
     rejected = code != 0
@@ -291,8 +288,7 @@ def monte_carlo(design: BivariateDesign, params: JointBernoulliParams,
     bias_x_se = th_x.std(ddof=1) / math.sqrt(reps) if reps > 1 else 0.0
     bias_y_se = th_y.std(ddof=1) / math.sqrt(reps) if reps > 1 else 0.0
     split = {name: float((code == i).mean()) for i, name in enumerate(_BOUNDARIES)}
-    coverage = _wald_covers(plug_in, m_star, params.theta_x, params.theta_y,
-                            level).mean()
+    coverage = _wald_covers(plug_in, m_star, params.theta_x, params.theta_y, c).mean()
     return MonteCarloSummary(
         reps=reps, seed=seed, power=float(power), power_se=float(power_se),
         asn=float(asn), asn_se=float(asn_se),

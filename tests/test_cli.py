@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from bivarseq import (
     BivariateDesign,
     LatticeCounts,
+    MonitorState,
     asn_bounds,
     asn_exact,
     confidence_region,
@@ -28,6 +29,7 @@ from bivarseq import (
     power_asymptotic,
     power_exact,
     state_load,
+    state_save,
     stopping_pmf_asymptotic,
     stopping_pmf_exact,
 )
@@ -401,12 +403,28 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             f"error: design document: field '{side}': {fragment}\n"
 
-    def test_simulate_negative_seed_named(self, design_file, capsys):
-        code, out = run_cli("simulate", "--design", design_file,
-                            "--theta-x", "0.1", "--theta-y", "0.2",
-                            "--reps", "20", "--seed", "-1")
+    _SIMULATE = ("simulate", "--design", "DESIGN", "--theta-x", "0.1", "--theta-y", "0.2",
+                 "--reps", "20")
+
+    @pytest.mark.parametrize("argv, message", [
+        ((*_SIMULATE, "--seed", "-1"), "seed must be >= 0, got -1"),
+        ((*_SIMULATE, "--seed", "1", "--emit-streams", "streams", "--max-stream-files", "-1"),
+         "--max-stream-files must be >= 0, got -1"),
+        (("export-grid", "--design", "DESIGN", "--theta-x-min", "0.1", "--theta-x-max", "0.3",
+          "--theta-y-min", "0.1", "--theta-y-max", "0.3", "--steps", "-3"),
+         "--steps must be >= 0, got -3"),
+        (("analyze", "--counts", "63", "18", "11", "25", "--emit-ellipse-points", "-5",
+          "--ellipse-file", "ellipse.csv"), "--emit-ellipse-points must be >= 0, got -5"),
+    ], ids=["seed", "max-stream-files", "steps", "emit-ellipse-points"])
+    def test_negative_integer_flag_named(self, design_file, tmp_path, monkeypatch, capsys,
+                                         argv, message):
+        """A negative seed or count exits 2 with a line that names it, and
+        writes no file."""
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli(*(design_file if a == "DESIGN" else a for a in argv))
         assert (code, out) == (2, "")
-        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_exact_refine_walk_is_bounded(self, capsys):
         # the walk would take about 590 000 steps to reach N near 9.5e11
@@ -589,6 +607,23 @@ class TestExitCodes:
                             "--input", str(events))
         assert (code, out) == (2, "")
         assert capsys.readouterr().err.startswith("error: corrupt state document")
+        assert state.read_bytes() == before
+
+    def test_monitor_refuses_unreachable_corner_state(self, design, design_file, tmp_path,
+                                                     capsys):
+        """Both margins past their critical values with N11 = 0: the test
+        would have stopped at the first crossing."""
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(state_save(MonitorState(
+            design, LatticeCounts(0, design.k_x + 1, design.k_y + 1, 0)))))
+        before = state.read_bytes()
+        events = tmp_path / "ev.jsonl"
+        events.write_text("")
+        code, out = run_cli("monitor", "--design", design_file, "--state", str(state),
+                            "--input", str(events))
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == \
+            "error: counts are not a table the stopping rule can reach\n"
         assert state.read_bytes() == before
 
     def test_monitor_unwritable_state_prints_nothing(self, design_file, tmp_path, capsys):
@@ -784,19 +819,32 @@ _LAYER_ORDER = ("errors", "special_functions", "params", "design", "exact_engine
                 "asymptotic_engine", "inference", "simulator", "cli_monitor")
 
 
+def _relative_imports(layer):
+    """(line, module) of each relative import of a layer, at module or
+    function level."""
+    path = Path(__file__).resolve().parents[1] / "src" / "bivarseq" / f"{layer}.py"
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for name in [node.module] if node.module else [a.name for a in node.names]:
+                yield node.lineno, name
+
+
 def test_layers_import_only_earlier_layers():
     """No relative import, at module or function level, reaches up the
     layer order."""
-    package = Path(__file__).resolve().parents[1] / "src" / "bivarseq"
-    upward = []
-    for rank, layer in enumerate(_LAYER_ORDER):
-        path = package / f"{layer}.py"
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ImportFrom) and node.level:
-                names = [node.module] if node.module else [a.name for a in node.names]
-                upward += [f"{layer}.py:{node.lineno} imports {name}" for name in names
-                           if name in _LAYER_ORDER[rank + 1:]]
+    upward = [f"{layer}.py:{line} imports {name}"
+              for rank, layer in enumerate(_LAYER_ORDER)
+              for line, name in _relative_imports(layer) if name in _LAYER_ORDER[rank + 1:]]
     assert not upward
+
+
+def test_engines_are_peers():
+    """The terminal table and the stopping law are types of ``design``, so
+    the asymptotic engine, inference and the simulator import nothing from
+    the exact engine."""
+    reaching = [f"{layer}.py:{line}" for layer in ("asymptotic_engine", "inference", "simulator")
+                for line, name in _relative_imports(layer) if name == "exact_engine"]
+    assert not reaching
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 200)
@@ -896,7 +944,8 @@ def test_fuzz_design_documents(edits, cells, split):
                 last = json.loads(line)
             if (tmp / "state.json").exists():
                 state = state_load(json.loads((tmp / "state.json").read_text()))
-                assert (state.last_seq, state.s_x, state.s_y, state.status) == \
+                c = state.counts
+                assert (state.last_seq, c.s_x, c.s_y, state.status) == \
                     (last["seq"], last["s_x"], last["s_y"], last["status"])
 
 
@@ -942,7 +991,8 @@ def test_fuzz_state_documents(edits, cell):
             loaded = state_load(saved)
             if code == 0:
                 record = json.loads(out)
-                assert (loaded.last_seq, loaded.s_x, loaded.s_y, loaded.status) == \
+                c = loaded.counts
+                assert (loaded.last_seq, c.s_x, c.s_y, loaded.status) == \
                     (record["seq"], record["s_x"], record["s_y"], record["status"])
             else:
                 assert loaded == state_load(json.loads(before))

@@ -1,4 +1,7 @@
 import copy
+import itertools
+from collections import deque
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from bivarseq import (
 )
 from bivarseq.cli_monitor import _write_state
 from bivarseq.inference import post_test_estimate
-from bivarseq.exact_engine import LatticeCounts
+from bivarseq.design import LatticeCounts
 from conftest import make_design
 
 
@@ -41,7 +44,7 @@ class TestStepSemantics:
         state = MonitorState.fresh(design)
         events = [Event(seq=i + 1, x=1, y=0) for i in range(3)]
         state, _ = feed(state, events)
-        assert state.status == "open" and state.s_x == 3
+        assert state.status == "open" and state.counts.s_x == 3
         state, record = monitor_step(state, Event(seq=4, x=1, y=0))
         assert state.status == "rejected_x"
         assert record["decision"] == "reject"
@@ -169,15 +172,45 @@ class TestSaveLoad:
     # so the cases pin the order of the checks as well as their messages
     @pytest.mark.parametrize("counts, last_seq, message", [
         ({"n00": 0, "n10": 11, "n01": 0, "n11": 0}, 0, "does not match last_seq"),
-        ({"n00": 0, "n10": 11, "n01": 0, "n11": 0}, 11, "reachable boundary"),
-        ({"n00": 11, "n10": 0, "n01": 0, "n11": 0}, 11, "curtailment size"),
+        ({"n00": 0, "n10": 11, "n01": 0, "n11": 0}, 11, "can reach"),
+        ({"n00": 11, "n10": 0, "n01": 0, "n11": 0}, 11, "can reach"),
         ({"n00": 0, "n10": 3, "n01": 0, "n11": 0}, 3, "inconsistent"),
+        # a corner without a both-effects event: the test stops at its first crossing
+        ({"n00": 0, "n10": 3, "n01": 3, "n11": 0}, 6, "can reach"),
     ])
     def test_refusals_in_order(self, counts, last_seq, message):
         doc = state_save(MonitorState.fresh(make_design(10, 2, 2)))
         doc.update(counts=counts, last_seq=last_seq, status="open")
         with pytest.raises(MonitorStateError, match=message):
             state_load(doc)
+
+    @pytest.mark.parametrize("geometry", [(10, 2, 2), (10, 2, 4), (12, 3, 1), (6, 5, 0)])
+    def test_loads_exactly_the_reachable_tables(self, geometry):
+        """A breadth-first search over ``monitor_step`` from the fresh state
+        finds every table a run can stand at; ``state_load`` accepts those
+        and no other table of total up to n* + 2."""
+        design = make_design(*geometry)
+        fresh = MonitorState.fresh(design)
+        reachable, queue = {astuple(fresh.counts)}, deque([fresh])
+        while queue:
+            state = queue.popleft()
+            if state.status != "open":
+                continue
+            for x, y in itertools.product((0, 1), repeat=2):
+                after, _ = monitor_step(state, Event(state.last_seq + 1, x, y))
+                if astuple(after.counts) not in reachable:
+                    reachable.add(astuple(after.counts))
+                    queue.append(after)
+        top = design.n_star + 2
+        accepted = set()
+        for cells in itertools.product(range(top + 1), repeat=4):
+            if sum(cells) <= top:
+                try:
+                    state_load(state_save(MonitorState(design, LatticeCounts(*cells))))
+                except MonitorStateError:
+                    continue
+                accepted.add(cells)
+        assert accepted == reachable
 
     def test_written_state_golden(self, fig_design, tmp_path):
         cells = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 0), (0, 1), (0, 0)]

@@ -367,6 +367,15 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(fig_design, make_params(0.1, 0.2, 0.1), reps=0, seed=1)
 
+    @pytest.mark.parametrize("level", [0.0, 1.5])
+    def test_level_validated_before_any_replicate(self, fig_design, monkeypatch, level):
+        def no_replicates(*args):
+            raise AssertionError("replicate_outcomes ran")
+        monkeypatch.setattr(simulator, "replicate_outcomes", no_replicates)
+        with pytest.raises(ValueError, match=r"level must lie in \(0, 1\)"):
+            monte_carlo(fig_design, make_params(0.1, 0.2, 0.1), reps=20000, seed=1,
+                        level=level)
+
     @pytest.mark.parametrize("chunk", [0, -3])
     @pytest.mark.parametrize("fn", [monte_carlo, replicate_outcomes])
     def test_chunk_size_validated(self, fig_design, fn, chunk):
