@@ -12,14 +12,16 @@ approximately normal with the overshoot-free first-passage parameters
 (and symmetrically for the Y boundary), valid when
 eta^2 = tx ty (tx + ty - 2 p11) > 0.  Summing the per-m slab probabilities of
 the two crossing laws approximates the stopping-time pmf; the corner mass is
-dropped, being asymptotically negligible.  Ratio integrands (k+1)/M and S/M
-are evaluated on the integer stopping-time grid, with the count coordinate
-integrated in closed form inside each slab.  The engine keeps these normal
-integrals for the last (design, params) point, which the pmf and both
-estimators read.  The power forms build no such law but share its parts:
-the curtailed-normal power reads the same terminal-count rectangle, and the
-gut power and the hit probabilities the same two first-passage laws, each
-kept for the last point.  A point whose normal laws are singular in float64
+dropped, being asymptotically negligible.  The estimator expectations are
+those of the exact engine, ``StoppingPmf.estimator_mean``, over this pmf:
+the ratio integrands (k+1)/M and S/M on the integer stopping-time grid, with
+the count coordinate integrated in closed form inside each slab, and the
+curtailed term by Wald's identity.  The engine keeps the pmf and both
+estimators for the last (design, params) point.  The power forms build no
+such law but share its parts: the curtailed-normal power reads the same
+terminal-count rectangle, and the gut power and the hit probabilities the
+same two first-passage laws, each kept for the last point; a point makes
+five ``bvn_cdf`` calls.  A point whose normal laws are singular in float64
 (|rho| one ulp below 1, or a law correlation that rounds to +-1) raises
 :class:`DegenerateCovarianceError` naming (theta_x, theta_y, rho).
 """
@@ -117,12 +119,13 @@ def _lower_orthant(law: BivariateNormalParams, u: float, w):
     return p, mean[0] * p + s[0] * ez
 
 
-@lru_cache(maxsize=2)
-def _rectangle(n_star: int, k_a: int, k_b: int, params: JointBernoulliParams):
-    """(P(no rejection), E[S_a; no rejection]) under the terminal-count law,
-    over the rectangle up to (k_a + 0.5, k_b + 0.5).  The two entries hold
-    margin X and margin Y, which is margin X of the swapped params."""
-    return _lower_orthant(terminal_count_law(n_star, params), k_a + 0.5, k_b + 0.5)
+@lru_cache(maxsize=1)
+def _rectangle(n_star: int, k_x: int, k_y: int, params: JointBernoulliParams) -> float:
+    """P(no rejection) under the terminal-count law: its mass up to
+    (k_x + 0.5, k_y + 0.5)."""
+    law = terminal_count_law(n_star, params)
+    a, b = (np.array([k_x, k_y]) + 0.5 - law.mean) / law.sigmas
+    return float(bvn_cdf(a, b, law.corr))
 
 
 @lru_cache(maxsize=1)
@@ -133,20 +136,23 @@ def _passage_laws(k_x: int, k_y: int, params: JointBernoulliParams):
 
 @lru_cache(maxsize=1)
 def _law(n_star: int, k_x: int, k_y: int, params: JointBernoulliParams):
-    """(support, slabs, curtailed) at one point.  ``slabs`` holds, for the X
-    and then the Y boundary, the per-m slab probabilities of the crossing
-    law and the slab first moments of the other margin's count;
-    ``curtailed`` holds, for margin X and then Y, P(no rejection) and
-    E[S; no rejection].  Callers share the read-only support."""
+    """(StoppingPmf, E[theta_hat_x], E[theta_hat_y]) at one point.  The pmf
+    holds the per-m slab masses of the two crossing laws, clipped at 0, and
+    the rectangle's P(no rejection); on a boundary a margin's count is k + 1,
+    on the other one the slab first moment of the crossing law.  Callers
+    share the read-only arrays."""
     support = np.arange(min(k_x, k_y) + 1, n_star + 1)
-    support.flags.writeable = False
     edges = np.concatenate([[support[0] - 0.5], support + 0.5])
     law_x, law_y = _passage_laws(k_x, k_y, params)
-    slabs = (_lower_orthant(law_x, k_y + 0.5, edges), _lower_orthant(law_y, k_x + 0.5, edges))
-    # margin Y on the swapped law: bvn_cdf(h, k) and bvn_cdf(k, h) may differ in the last bit
-    curtailed = (_rectangle(n_star, k_x, k_y, params),
-                 _rectangle(n_star, k_y, k_x, params.swapped()))
-    return support, slabs, curtailed
+    (p_x, sy_at_x), (p_y, sx_at_y) = (_lower_orthant(law_x, k_y + 0.5, edges),
+                                      _lower_orthant(law_y, k_x + 0.5, edges))
+    mass_x, mass_y, corner = np.maximum(p_x, 0.0), np.maximum(p_y, 0.0), np.zeros(len(support))
+    for arr in (support, mass_x, mass_y, corner):
+        arr.flags.writeable = False
+    pmf = StoppingPmf(support=support, mass_x=mass_x, mass_y=mass_y, mass_corner=corner,
+                      continue_mass=_rectangle(n_star, k_x, k_y, params))
+    return (pmf, pmf.estimator_mean(n_star, params.theta_x, (k_x + 1) * mass_x + sx_at_y),
+            pmf.estimator_mean(n_star, params.theta_y, (k_y + 1) * mass_y + sy_at_x))
 
 
 def stopping_pmf_asymptotic(design: BivariateDesign,
@@ -157,12 +163,7 @@ def stopping_pmf_asymptotic(design: BivariateDesign,
     probability of the terminal-count law, so the total may differ from 1 by
     the approximation error.
     """
-    support, ((p_x, _), (p_y, _)), ((cont, _), _) = _law(
-        design.n_star, design.k_x, design.k_y, params)
-    return StoppingPmf(
-        support=support, mass_x=np.maximum(p_x, 0.0), mass_y=np.maximum(p_y, 0.0),
-        mass_corner=np.zeros(len(support)), continue_mass=float(cont),
-    )
+    return _law(design.n_star, design.k_x, design.k_y, params)[0]
 
 
 def power_asymptotic(design: BivariateDesign, params: JointBernoulliParams,
@@ -174,7 +175,7 @@ def power_asymptotic(design: BivariateDesign, params: JointBernoulliParams,
     n_star+0.5.
     """
     if form == "curtailed-normal":
-        cont, _ = _rectangle(design.n_star, design.k_x, design.k_y, params)
+        cont = _rectangle(design.n_star, design.k_x, design.k_y, params)
         return float(min(max(1.0 - cont, 0.0), 1.0))
     if form == "gut":
         hit_x, hit_y = boundary_hit_probs(design, params)
@@ -195,19 +196,13 @@ def boundary_hit_probs(design: BivariateDesign,
 def estimator_expectation_asymptotic(design: BivariateDesign,
                                      params: JointBernoulliParams,
                                      margin: str) -> float:
-    """Approximate E[theta_hat] for one margin.
-
-    Curtailed term: first moment of the margin's terminal count over the
-    non-rejection rectangle, divided by n_star.  Stopped terms: over the
-    stopping-time grid, (k+1)/m weighted slab probabilities for the margin's
-    own boundary, and slab-conditional count means divided by m for the other
-    boundary.  Margin Y is margin X of the swapped margins.
+    """Approximate E[theta_hat] for one margin, by the formula of the exact
+    engine (``StoppingPmf.estimator_mean``) over the asymptotic pmf: over the
+    stopping-time grid, (k+1)/m weighted slab masses of the margin's own
+    boundary and slab-conditional count means divided by m of the other
+    boundary; the curtailed term by Wald's identity, with E[min(M, n_star)]
+    from the slab masses.
     """
     if margin not in ("x", "y"):
         raise ValueError("margin must be 'x' or 'y'")
-    support, slabs, curtailed = _law(design.n_star, design.k_x, design.k_y, params)
-    side = "xy".index(margin)
-    (own, _), (_, other) = slabs[side], slabs[1 - side]
-    k_own = (design.k_x, design.k_y)[side]
-    curt = curtailed[side][1] / design.n_star
-    return float(curt + ((k_own + 1) / support * own).sum() + (other / support).sum())
+    return _law(design.n_star, design.k_x, design.k_y, params)[1 if margin == "x" else 2]

@@ -230,6 +230,13 @@ class StoppingPmf:
         second = n2 - ((n2 - self.support.astype(float) ** 2) * pmf).sum()
         return float(mean), float(second)
 
+    def estimator_mean(self, n_star: int, theta: float, s: np.ndarray) -> float:
+        """E[S(M*)/M*] of one margin, M* = min(M, n_star), from s[m] =
+        E[S(m); M = m] over the support: sum_m s/m plus E[S; M > n_star]/n_star,
+        which Wald's identity E[S(M*)] = theta E[M*] gives as theta E[M*] - sum s."""
+        mean, _ = self.moments(n_star)
+        return float((s / self.support).sum() + (theta * mean - s.sum()) / n_star)
+
 
 def _table_cells(m, s_x, s_y, n11):
     """Cells (n00, n10, n01, n11) of the table of m observations with margins

@@ -17,9 +17,8 @@ nu - k_x is W ~ Bin(nu - k_x, q) with q = p01/(p00+p01), independently:
     P(M = m, corner)  = p11 [A_x(k_y) - A_x(k_y - 1)],
 
 and the Y boundary is the same computation with the margins swapped.  The
-same pass gives E[S_y(M); M = m].  Wald's identity E[S_x(min(M, n_star))] =
-theta_x E[min(M, n_star)] gives the curtailed E[S_x; M > n_star] of the
-estimator expectations.
+same pass gives E[S_y(M); M = m], from which ``StoppingPmf.estimator_mean``,
+shared with the asymptotic engine, takes the estimator expectations.
 
 Every binomial mass comes from one kernel, ``_binom_pmf``: Loader's saddle
 point, whose relative error stays near 1e-14 up to n = 38483, where
@@ -41,11 +40,12 @@ bounded block at a time:
   Bin(a, r) going up in a and the rows of W_a going up in n_star - a, in
   O(k_x k_y).  The power needs nothing else.
 
-The engine keeps the law of the last (design, params) point, which the pmf,
-the moments and both estimators read, and the last P(M > n_star), which the
-power and the law share.  The ASN bounds read one survival vector per
-margin, both from one kernel call.  The engine needs no scipy at all.  Its
-law is a ``StoppingPmf`` of ``design``, the type both engines return.
+The engine keeps the law and both estimators of the last (design, params)
+point, which the pmf, the moments and the estimators read, and the last
+P(M > n_star), which the power and the law share.  The ASN bounds read one
+survival vector per margin, both from one kernel call.  The engine needs no
+scipy at all.  Its law is a ``StoppingPmf`` of ``design``, the type both
+engines return.
 
 A forward dynamic program over the alive lattice is an independent route to
 the same distribution, kept as the test suite's oracle.
@@ -296,9 +296,9 @@ def _boundary_pass(n_star: int, k_hit: int, k_other: int, params: JointBernoulli
 
 @lru_cache(maxsize=1)
 def _law(n_star: int, k_x: int, k_y: int, params: JointBernoulliParams):
-    """(StoppingPmf, E[min(M, n_star)], E[min(M, n_star)^2], E[theta_hat_x],
-    E[theta_hat_y]) at one point, from one kernel call for the seeds of both
-    boundary passes.  Callers share the read-only arrays."""
+    """(StoppingPmf, E[theta_hat_x], E[theta_hat_y]) at one point, from one
+    kernel call for the seeds of both boundary passes.  Callers share the
+    read-only arrays."""
     low = min(k_x, k_y)
     passes = ((n_star, k_x, k_y, params), (n_star, k_y, k_x, params.swapped()))
     seeds = _binom_pmfs(*_pass_seeds(*passes[0]), *_pass_seeds(*passes[1]))
@@ -309,13 +309,9 @@ def _law(n_star: int, k_x: int, k_y: int, params: JointBernoulliParams):
         arr.flags.writeable = False
     pmf = StoppingPmf(support=support, mass_x=x_only, mass_y=y_only, mass_corner=corner,
                       continue_mass=_alive_mass(n_star, k_x, k_y, params))
-    mean, second = pmf.moments(n_star)
     _, p10, p01, p11 = params.cell_probs
-    # sum_m E[S; M = m] / m, plus E[S; M > n_star] / n_star by Wald's identity
-    est = [float((s / support).sum() + (theta * mean - s.sum()) / n_star)
-           for theta, s in ((p10 + p11, (k_x + 1) * (x_only + corner) + sx_at_y),
-                            (p01 + p11, (k_y + 1) * (y_only + corner) + sy_at_x))]
-    return (pmf, mean, second, *est)
+    return (pmf, pmf.estimator_mean(n_star, p10 + p11, (k_x + 1) * (x_only + corner) + sx_at_y),
+            pmf.estimator_mean(n_star, p01 + p11, (k_y + 1) * (y_only + corner) + sy_at_x))
 
 
 @lru_cache(maxsize=1)
@@ -412,7 +408,7 @@ def lattice_forward_dp(design: BivariateDesign, params: JointBernoulliParams) ->
 
 def asn_exact(design: BivariateDesign, params: JointBernoulliParams) -> float:
     """Expected terminal sample size E[min(M, n_star)]."""
-    return _law(design.n_star, design.k_x, design.k_y, params)[1]
+    return _law(design.n_star, design.k_x, design.k_y, params)[0].moments(design.n_star)[0]
 
 
 def _survival(n_star: int, k: int, stops: np.ndarray) -> np.ndarray:
@@ -450,7 +446,8 @@ def asn_bounds(design: BivariateDesign, params: JointBernoulliParams) -> tuple[f
 
 def variance_cv(design: BivariateDesign, params: JointBernoulliParams) -> tuple[float, float]:
     """(variance, coefficient of variation) of the terminal sample size."""
-    _, mean, second, _, _ = _law(design.n_star, design.k_x, design.k_y, params)
+    pmf = _law(design.n_star, design.k_x, design.k_y, params)[0]
+    mean, second = pmf.moments(design.n_star)
     var = second - mean * mean
     if var < -1e-9:
         raise ArithmeticError(f"negative variance {var}: inconsistent moments")
@@ -464,4 +461,4 @@ def estimator_expectation_exact(design: BivariateDesign, params: JointBernoulliP
     plus the curtailed part E[S(n_star); M > n_star] / n_star."""
     if margin not in ("x", "y"):
         raise ValueError("margin must be 'x' or 'y'")
-    return _law(design.n_star, design.k_x, design.k_y, params)[3 if margin == "x" else 4]
+    return _law(design.n_star, design.k_x, design.k_y, params)[1 if margin == "x" else 2]

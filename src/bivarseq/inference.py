@@ -148,7 +148,7 @@ def post_test_estimate(counts: LatticeCounts) -> PostTestEstimate:
     whose total is the stopping time M*."""
     m_star = counts.total
     if m_star < 1:
-        raise ValueError("m_star must be >= 1")
+        raise ValueError("the table is empty: all four counts are 0")
     thx, thy, p11, sigma, singular = _plug_in(counts.s_x, counts.s_y, counts.n11,
                                               m_star)
     inside = 0.0 < thx < 1.0 and 0.0 < thy < 1.0

@@ -27,14 +27,18 @@ _FEAS_TOL = 1e-12
 
 
 def condition_a_bounds(theta_x: float, theta_y: float) -> tuple[float, float]:
-    """Feasible closed interval [lo, hi] for the correlation given the margins.
+    """Feasible closed interval [lo, hi] for the correlation given the margins
+    (the Frechet bounds on p11).
 
-    ``lo`` is -sqrt(Omega_x * Omega_y) (keeps p11 >= 0) and ``hi`` is
+    ``lo`` is -min(sqrt(Omega_x Omega_y), 1/sqrt(Omega_x Omega_y)): the first
+    keeps p11 >= 0 and binds when theta_x + theta_y < 1, the second keeps
+    p00 >= 0 and binds when theta_x + theta_y > 1.  ``hi`` is
     min(sqrt(Omega_x/Omega_y), sqrt(Omega_y/Omega_x)) (keeps p10, p01 >= 0).
     """
     ox = theta_x / (1.0 - theta_x)
     oy = theta_y / (1.0 - theta_y)
-    lo = -math.sqrt(ox * oy)
+    odds = math.sqrt(ox * oy)
+    lo = -odds if odds <= 1.0 else -1.0 / odds
     hi = min(math.sqrt(ox / oy), math.sqrt(oy / ox))
     return lo, hi
 
@@ -73,18 +77,20 @@ def make_params(theta_x: float, theta_y: float, rho: float) -> JointBernoulliPar
     """
     if not (0.0 < theta_x < 1.0 and 0.0 < theta_y < 1.0):
         raise ValueError("marginal probabilities must lie strictly in (0, 1)")
+    if math.isnan(rho):
+        raise ValueError("correlation rho is not a number")
     if not abs(rho) < 1.0:
         raise ValueError("correlation must satisfy |rho| < 1")
 
-    lo, hi = condition_a_bounds(theta_x, theta_y)
+    ox = theta_x / (1.0 - theta_x)
+    oy = theta_y / (1.0 - theta_y)
+    lo = -math.sqrt(ox * oy)
     if rho < lo - _FEAS_TOL:
         raise InfeasibleCorrelationError(
             f"rho={rho:.6g} < -sqrt(Omega_x*Omega_y)={lo:.6g}: "
             f"joint-cell probability p11 would be negative",
             restriction="p11",
         )
-    ox = theta_x / (1.0 - theta_x)
-    oy = theta_y / (1.0 - theta_y)
     if rho > math.sqrt(ox / oy) + _FEAS_TOL:
         raise InfeasibleCorrelationError(
             f"rho={rho:.6g} > sqrt(Omega_x/Omega_y)={math.sqrt(ox / oy):.6g}: "
@@ -103,8 +109,9 @@ def make_params(theta_x: float, theta_y: float, rho: float) -> JointBernoulliPar
     p10 = theta_x - p11
     p01 = theta_y - p11
     p00 = 1.0 - theta_x - theta_y + p11
-    # The three correlation bounds do not cover p00 >= 0 when both margins
-    # exceed 1/2; reject that case explicitly so every cell is a probability.
+    # The three correlation bounds do not cover p00 >= 0, which binds when
+    # theta_x + theta_y > 1; reject that case explicitly so every cell is a
+    # probability.
     if p00 < -_FEAS_TOL:
         raise InfeasibleCorrelationError(
             f"rho={rho:.6g} gives p00={p00:.6g} < 0 at margins "

@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import csv
+import hashlib
 import inspect
 import io
 import json
@@ -415,11 +416,20 @@ class TestExitCodes:
          "--steps must be >= 0, got -3"),
         (("analyze", "--counts", "63", "18", "11", "25", "--emit-ellipse-points", "-5",
           "--ellipse-file", "ellipse.csv"), "--emit-ellipse-points must be >= 0, got -5"),
-    ], ids=["seed", "max-stream-files", "steps", "emit-ellipse-points"])
+        (("power", "--design", "DESIGN", "--theta-x", "0.1", "--theta-y", "0.2",
+          "--rho", "nan"), "correlation rho is not a number"),
+        ((*_SIMULATE[:-2], "--rho", "nan", "--reps", "20", "--seed", "1"),
+         "correlation rho is not a number"),
+        (("export-grid", "--design", "DESIGN", "--rho", "nan", "--theta-x-min", "0.1",
+          "--theta-x-max", "0.3", "--theta-y-min", "0.1", "--theta-y-max", "0.3"),
+         "correlation rho is not a number"),
+        (("analyze", "--counts", "0", "0", "0", "0"), "the table is empty: all four counts are 0"),
+    ], ids=["seed", "max-stream-files", "steps", "emit-ellipse-points", "power-rho-nan",
+            "simulate-rho-nan", "export-grid-rho-nan", "analyze-empty-table"])
     def test_negative_integer_flag_named(self, design_file, tmp_path, monkeypatch, capsys,
                                          argv, message):
-        """A negative seed or count exits 2 with a line that names it, and
-        writes no file."""
+        """A negative seed or count, a correlation that is not a number or an
+        empty table exits 2 with a line that names it, and writes no file."""
         monkeypatch.chdir(tmp_path)
         code, out = run_cli(*(design_file if a == "DESIGN" else a for a in argv))
         assert (code, out) == (2, "")
@@ -669,6 +679,81 @@ class TestExitCodes:
             capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout)["n_star"] == 121
+
+
+_MARGINS = ("--design", "design.json", "--theta-x", "0.1", "--theta-y", "0.2", "--rho", "0.1")
+_MONITOR = ("monitor", "--design", "design.json", "--state", "state.json", "--input")
+# (argv, exit code, SHA-256 of stdout, SHA-256 of state.json after the run or
+# None); the runs go in this order in one directory, the first one's stdout
+# becoming design.json
+_CLI_GOLDEN = [
+    (("design", "--alpha", "0.05", "--beta", "0.1", "--theta-x0", "0.05", "--theta-x1", "0.1",
+      "--theta-y0", "0.1", "--theta-y1", "0.2"), 0,
+     "61754d446aaf777234df7dcd99d8841992716ef1c6da7e4e16b5e349968764f1",
+     None),
+    (("design", "--alpha", "0.05", "--beta", "0.1", "--theta-x0", "0.05", "--theta-x1", "0.1",
+      "--theta-y0", "0.1", "--theta-y1", "0.2", "--exact-refine"), 0,
+     "ad80bd88d72a08863914f853dbc490b360de853c580198ee61fb9d78d15e5540",
+     None),
+    (("power", *_MARGINS, "--method", "exact"), 0,
+     "f10708b31da365e2b02a4eac060596b234912e7e7076c613acb49239851c5c50",
+     None),
+    (("power", *_MARGINS, "--method", "asymptotic"), 0,
+     "c77bf76a304f0185c1cbf07e8bdd67da2c4b2370eef52e8b8675defa219b4579",
+     None),
+    (("power", *_MARGINS, "--method", "gut"), 0,
+     "4b3d2f2c1c941fe5b22fe202bc8e05bedd859f433050a82704760c2272ad4b84",
+     None),
+    (("asn", *_MARGINS, "--method", "exact"), 0,
+     "f1309129b5a4c9481b8fb4629b1d3b87fe0f90230885d10e241606cf81633603",
+     None),
+    (("asn", *_MARGINS, "--method", "asymptotic"), 0,
+     "a8a83341b5f1dadeea55c8774f741af3de3fc953b30e264c1877e62742d0837d",
+     None),
+    (("pmf", *_MARGINS, "--method", "exact"), 0,
+     "ef6ffdc06bb0d44febbdbfb21e98a1969fe148fc13d9dfc8343c389af83110de",
+     None),
+    (("pmf", *_MARGINS, "--method", "asymptotic"), 0,
+     "727c59d2c0e7c125f162d1a7b579866bac52e74964f80ad8fd16d5545c262a7a",
+     None),
+    (("export-grid", "--design", "design.json", "--rho", "0.1", "--theta-x-min", "0.04",
+      "--theta-x-max", "0.12", "--theta-y-min", "0.08", "--theta-y-max", "0.22",
+      "--steps", "3"), 0,
+     "27347741c770f4de98ab91bfbfa262a134737d20b2c54bc17e564eb7577c0d99",
+     None),
+    (("simulate", *_MARGINS, "--reps", "200", "--seed", "7"), 0,
+     "22ed01acb49da2e2a300eac50a1de6ceeba21016a9dd889ba0d75cc3fe9fb7aa",
+     None),
+    (("analyze", "--counts", "63", "18", "11", "25"), 0,
+     "580f4b1242eb383202ab60633e192022bf2c589d3bf84f3b1ed877dc944b3658",
+     None),
+    ((*_MONITOR, "a.jsonl"), 0,
+     "92cc75ee4164c0f7512f1b3190fdff99cd2bfd1babb6fd7a5bfe981a3758f8cd",
+     "132cfa16c76b4792750becb2cebc0e4e7f069360221b94fd2ea56476315b3114"),
+    ((*_MONITOR, "b.jsonl"), 0,
+     "0c851dc0fc8c2539f7840e3e9ef9883f554d10c5a830bd79afd5158cbf69e78f",
+     "8f339d5226af031a7859b74c28ede9996cfdad15c26ba6b8faef73a0f485af98"),
+]
+
+
+def test_cli_golden(tmp_path, monkeypatch):
+    """Stdout, exit code and state file of a fixed CLI session are
+    byte-identical to the pinned ones."""
+    monkeypatch.chdir(tmp_path)
+    events = [json.dumps({"seq": i, "x": int(i % 7 == 0), "y": int(i % 4 == 0)}) + "\n"
+              for i in range(1, 122)]
+    Path("a.jsonl").write_text("".join(events[:40]))
+    Path("b.jsonl").write_text("".join(events[40:]))
+    digest = lambda data: hashlib.sha256(data.encode()).hexdigest()
+    seen = []
+    for argv, *_ in _CLI_GOLDEN:
+        code, out = run_cli(*argv)
+        if not Path("design.json").exists():
+            Path("design.json").write_text(out)
+        state = Path("state.json")
+        seen.append((argv, code, digest(out), digest(state.read_text()) if state.exists()
+                     else None))
+    assert seen == [tuple(case) for case in _CLI_GOLDEN]
 
 
 def _fresh_python(script, *args):

@@ -57,7 +57,7 @@ class TestPointEstimates:
 
     def test_count_total_checked(self):
         # M* is the table's total, so an empty table has no estimate
-        with pytest.raises(ValueError, match="m_star must be >= 1"):
+        with pytest.raises(ValueError, match="the table is empty"):
             post_test_estimate(LatticeCounts(0, 0, 0, 0))
 
 

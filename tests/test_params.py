@@ -61,6 +61,8 @@ def test_domain_validation():
         make_params(0.5, 1.0, 0.0)
     with pytest.raises(ValueError):
         make_params(0.5, 0.5, 1.0)
+    with pytest.raises(ValueError, match="rho is not a number"):
+        make_params(0.1, 0.2, math.nan)
     with pytest.raises(ValueError):
         rho_from_p11(0.3, 0.4, 0.35)     # p11 > min margin
 
@@ -94,3 +96,19 @@ def test_swapped_exchanges_roles():
     assert (q.theta_x, q.theta_y) == (p.theta_y, p.theta_x)
     assert q.p10 == p.p01 and q.p01 == p.p10
     assert q.p11 == p.p11 and q.p00 == p.p00
+
+
+def test_bounds_are_the_feasible_ends():
+    """On a 99 x 99 grid of margins, theta_x + theta_y > 1 included, both
+    ends of condition_a_bounds lie in [-1, 1], each end below 1 in size is
+    accepted with a cell at 0, and 1e-6 beyond either end is refused."""
+    grid = [i / 100 for i in range(1, 100)]
+    for theta_x in grid:
+        for theta_y in grid:
+            lo, hi = condition_a_bounds(theta_x, theta_y)
+            assert -1.0 <= lo < 0.0 < hi <= 1.0
+            for end, beyond in ((lo, lo - 1e-6), (hi, hi + 1e-6)):
+                if abs(end) < 1.0:
+                    assert min(make_params(theta_x, theta_y, end).cell_probs) <= 1e-12
+                with pytest.raises(ValueError):
+                    make_params(theta_x, theta_y, beyond)
