@@ -472,10 +472,11 @@ def main(argv: Optional[list[str]] = None, out: TextIO = None) -> int:
     if args.command == "analyze" and not (args.table or args.counts):
         parser.error("analyze requires --counts or --table")
     try:
-        for flag in ("--steps", "--emit-ellipse-points", "--max-stream-files"):
-            value = getattr(args, flag[2:].replace("-", "_"), 0)
-            if value < 0:                   # a negative count, refused before any work
-                raise ValueError(f"{flag} must be >= 0, got {value}")
+        for flag, low in (("--steps", 0), ("--emit-ellipse-points", 0),
+                          ("--max-stream-files", 0), ("--reps", 1), ("--seed", 0)):
+            value = getattr(args, flag[2:].replace("-", "_"), low)
+            if value < low:                 # refused before any work, by its flag
+                raise ValueError(f"{flag} must be >= {low}, got {value}")
         if args.command == "monitor":
             return _cmd_monitor(args, out)
         result = _COMMANDS[args.command](args)

@@ -34,6 +34,9 @@ def condition_a_bounds(theta_x: float, theta_y: float) -> tuple[float, float]:
     keeps p11 >= 0 and binds when theta_x + theta_y < 1, the second keeps
     p00 >= 0 and binds when theta_x + theta_y > 1.  ``hi`` is
     min(sqrt(Omega_x/Omega_y), sqrt(Omega_y/Omega_x)) (keeps p10, p01 >= 0).
+    An end of size 1 (hi = 1 when theta_x = theta_y, lo = -1 when
+    theta_x + theta_y = 1) is refused by :func:`make_params`, which needs
+    |rho| < 1.
     """
     ox = theta_x / (1.0 - theta_x)
     oy = theta_y / (1.0 - theta_y)

@@ -16,11 +16,11 @@ to key (master, r) sets its state from plain ints (counter and buffer
 cleared), so it draws exactly as a fresh ``Philox(key=(master, r))`` would,
 for about 1 µs instead of the 14 µs a new generator costs; a lock makes
 re-key plus draw atomic across threads.  Monte Carlo computes the outcomes
-of a block of replicates at once from the flat positions of its x, y and
-both-effects events: a row crosses a margin at its (k+1)-th event of that
-margin, and S_x, S_y and N11 at the stop are each one ``searchsorted`` of
-``row·n* + m`` over the block.  The boundary is
-:meth:`BivariateDesign.decide`'s code hit_x + 2·hit_y on arrays.
+of a block of replicates at once from its x, y and both-effects events, 8 to
+a byte, and each row's running count through each byte: a row crosses a
+margin in the first byte whose count passes k, and S_x, S_y and N11 at the
+stop m are the count through m's byte less its set bits after m.  The
+boundary is :meth:`BivariateDesign.decide`'s code hit_x + 2·hit_y on arrays.
 """
 
 from __future__ import annotations
@@ -125,9 +125,11 @@ def _cell_thresholds(params: JointBernoulliParams) -> tuple[float, float, float]
 
 
 def _cells(u: np.ndarray, thresholds: tuple[float, float, float]):
-    """(x, y) indicator arrays of the cells the uniforms u fall in."""
+    """(x, y, both) indicator arrays of the cells the uniforms u fall in; the
+    thresholds never decrease, so x (cell 10 or 11) is an exclusive or."""
     t0, t1, t2 = thresholds
-    return ((u >= t0) & (u < t1)) | (u >= t2), u >= t1
+    y, both = u >= t1, u >= t2
+    return (u >= t0) ^ y ^ both, y, both
 
 
 class _InternedEvents(dict):
@@ -160,10 +162,12 @@ def sample_stream(params: JointBernoulliParams, seed: int, max_n: int,
     max_n = _check_int("max_n", max_n, 0)
     u = np.empty((1, max_n))
     _draw_streams(master, stream, u)
-    x, y = _cells(u[0], _cell_thresholds(params))
+    x, y, _ = _cells(u[0], _cell_thresholds(params))
     head = min(max_n, _INTERNED_SEQS)
     key = np.arange(0, 4 * head, 4) + x[:head] + 2 * y[:head]
     yield from map(_EVENTS.__getitem__, key.tolist())
+    if head == max_n:
+        return
     for i, xi, yi in zip(range(head + 1, max_n + 1),
                          x[head:].astype(np.int64).tolist(),
                          y[head:].astype(np.int64).tolist()):
@@ -224,17 +228,25 @@ def replicate_outcomes(design: BivariateDesign, params: JointBernoulliParams,
     for lo in range(0, reps, rows):
         n = min(rows, reps - lo)
         _draw_streams(master, lo, u[:n])
-        x, y = _cells(u[:n], thresholds)
-        row0 = np.arange(0, n * n_star, n_star)     # flat index of column 0
-        # flat positions of the x, y and both-effects events, row after row
-        at = [np.flatnonzero(a) for a in (x, y, x & y)]
-        first = [a.searchsorted(row0) for a in at]
+        # the x, y and both-effects events, column c at bit c % 8 of byte
+        # c // 8, and each row's running count of events through each byte
+        bits = [np.packbits(a, axis=1, bitorder="little") for a in _cells(u[:n], thresholds)]
+        runs = [np.bitwise_count(b).cumsum(axis=1, dtype=np.int32) for b in bits]
         m = np.full(n, n_star)
-        for a, a0, k in zip(at, first, (k_x, k_y)):
-            # a row's (k+1)-th event is where its count crosses k
-            crossed = np.flatnonzero(np.diff(a0, append=a.size) > k)
-            m[crossed] = np.minimum(m[crossed], a[a0[crossed] + k] - row0[crossed] + 1)
-        sx_m, sy_m, n11_m = (a.searchsorted(row0 + m) - a0 for a, a0 in zip(at, first))
+        for b, run, k in zip(bits, runs, (k_x, k_y)):
+            # a row crosses at its (k+1)-th event: in byte j, the first whose
+            # running count passes k, it is set bit k - (count before j), from 0
+            crossed = run[:, -1] > k
+            j = (run[crossed] > k).argmax(axis=1)
+            byte = b[crossed, j]
+            rank = k - run[crossed, j] + np.bitwise_count(byte)
+            seen = np.unpackbits(byte[:, None], axis=1, bitorder="little").cumsum(axis=1)
+            m[crossed] = np.minimum(m[crossed], 8 * j + (seen > rank[:, None]).argmax(axis=1) + 1)
+        # counts through column m - 1: the running count through its byte,
+        # less that byte's events in later columns
+        row, byte_at, bit_at = np.arange(n), (m - 1) >> 3, (m - 1) & 7
+        sx_m, sy_m, n11_m = (run[row, byte_at] - np.bitwise_count(b[row, byte_at] >> (bit_at + 1))
+                             for b, run in zip(bits, runs))
         m_star[lo:lo + n] = m
         code[lo:lo + n] = design._boundary_code(sx_m, sy_m)
         table[lo:lo + n] = np.stack(_table_cells(m, sx_m, sy_m, n11_m), axis=1)

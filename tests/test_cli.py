@@ -408,7 +408,8 @@ class TestExitCodes:
                  "--reps", "20")
 
     @pytest.mark.parametrize("argv, message", [
-        ((*_SIMULATE, "--seed", "-1"), "seed must be >= 0, got -1"),
+        ((*_SIMULATE, "--seed", "-1"), "--seed must be >= 0, got -1"),
+        ((*_SIMULATE[:-1], "0", "--seed", "1"), "--reps must be >= 1, got 0"),
         ((*_SIMULATE, "--seed", "1", "--emit-streams", "streams", "--max-stream-files", "-1"),
          "--max-stream-files must be >= 0, got -1"),
         (("export-grid", "--design", "DESIGN", "--theta-x-min", "0.1", "--theta-x-max", "0.3",
@@ -424,11 +425,11 @@ class TestExitCodes:
           "--theta-x-max", "0.3", "--theta-y-min", "0.1", "--theta-y-max", "0.3"),
          "correlation rho is not a number"),
         (("analyze", "--counts", "0", "0", "0", "0"), "the table is empty: all four counts are 0"),
-    ], ids=["seed", "max-stream-files", "steps", "emit-ellipse-points", "power-rho-nan",
+    ], ids=["seed", "reps", "max-stream-files", "steps", "emit-ellipse-points", "power-rho-nan",
             "simulate-rho-nan", "export-grid-rho-nan", "analyze-empty-table"])
     def test_negative_integer_flag_named(self, design_file, tmp_path, monkeypatch, capsys,
                                          argv, message):
-        """A negative seed or count, a correlation that is not a number or an
+        """A seed or count out of range, a correlation that is not a number or an
         empty table exits 2 with a line that names it, and writes no file."""
         monkeypatch.chdir(tmp_path)
         code, out = run_cli(*(design_file if a == "DESIGN" else a for a in argv))

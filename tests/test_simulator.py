@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bivarseq import simulator
 from bivarseq import (
@@ -411,9 +412,9 @@ class TestReplicateOutcomes:
             assert min(c01 + c11 for *_, c01, c11 in expected) >= 2 ** 15
 
     @staticmethod
-    def assert_rows_equal_run_test(design, params, reps, seed):
-        """Check replicate_outcomes at chunk sizes 1, 37 and 1024 against
-        run_test over each replicate's stream; return the run_test rows
+    def assert_rows_equal_run_test(design, params, reps, seed, chunks=(1, 37, 1024)):
+        """Check replicate_outcomes at each chunk size against run_test over
+        each replicate's stream; return the run_test rows
         (m*, code, n00, n10, n01, n11)."""
         names = ("none", "x", "y", "corner")
         expected = []
@@ -422,7 +423,7 @@ class TestReplicateOutcomes:
             c = o.counts
             expected.append((o.m_star, names.index(o.boundary),
                              c.n00, c.n10, c.n01, c.n11))
-        for chunk in (1, 37, 1024):
+        for chunk in chunks:
             m_star, code, table = replicate_outcomes(design, params, reps, seed,
                                                      chunk_size=chunk)
             assert (m_star.dtype, code.dtype, table.dtype) == (
@@ -432,6 +433,54 @@ class TestReplicateOutcomes:
                    zip(m_star.tolist(), code.tolist(), table.tolist())]
             assert got == expected
         return expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n_star=st.integers(1, 80), k=st.tuples(st.integers(0, 81), st.integers(0, 81)),
+           margins=st.tuples(st.integers(1, 19), st.integers(1, 19)),
+           end=st.sampled_from(("lo", "mid", "hi")), reps=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 32))
+    # n* around one and two bytes of packed events, with a zero cell each:
+    # p10 = 0 and p01 = 0 at the upper end, p00 = 0 at the lower end
+    @example(n_star=7, k=(2, 3), margins=(2, 4), end="hi", reps=40, seed=1)
+    @example(n_star=8, k=(3, 2), margins=(4, 2), end="hi", reps=40, seed=2)
+    @example(n_star=9, k=(5, 6), margins=(12, 15), end="lo", reps=40, seed=3)
+    @example(n_star=16, k=(0, 17), margins=(10, 10), end="mid", reps=40, seed=4)
+    @example(n_star=17, k=(18, 4), margins=(8, 6), end="mid", reps=40, seed=5)
+    def test_packed_rows_equal_run_test(self, n_star, k, margins, end, reps, seed):
+        """Rows of replicate_outcomes equal run_test over sample_stream for
+        any n* up to 80, any critical values up to n* + 1 and correlations at
+        either end of condition_a_bounds, where a cell has probability 0."""
+        k_x, k_y = (min(v, n_star + 1) for v in k)
+        if min(k_x, k_y) >= n_star:         # one margin's own N* must be n*
+            k_y = n_star - 1
+        # a margin's own N* passes its critical value, as in a pooled design
+        design = BivariateDesign(*(MarginalDesign(0.025, 0.1, 0.1, 0.3, max(n_star, v + 1), v)
+                                   for v in (k_x, k_y)))
+        assert (design.n_star, design.k_x, design.k_y) == (n_star, k_x, k_y)
+        theta_x, theta_y = margins[0] / 20, margins[1] / 20
+        lo, hi = condition_a_bounds(theta_x, theta_y)
+        rho = {"lo": lo, "mid": (lo + hi) / 2, "hi": hi}[end]
+        if abs(rho) >= 1.0:                 # make_params needs |rho| < 1
+            rho = (lo + hi) / 2
+        self.assert_rows_equal_run_test(design, make_params(theta_x, theta_y, rho),
+                                        reps, seed, chunks=(1, 3, 1024))
+
+    @pytest.mark.parametrize("thresholds", [
+        (0.2, 0.5, 0.7), (0.3, 0.3, 0.6), (0.2, 0.5, 0.5), (0.0, 0.4, 0.8),
+        (0.5, 0.5, 1.0), (0.4, 0.4, 0.4),
+    ])
+    def test_cells_at_and_between_thresholds(self, thresholds):
+        """A uniform u falls in cell c = #{t <= u} of (00, 10, 01, 11): x is
+        c in {1, 3}, y is c in {2, 3} and both is c = 3, also for u exactly
+        at a threshold and for tied thresholds (a cell of probability 0)."""
+        t = np.array(thresholds)
+        u = np.concatenate([t, np.nextafter(t, 0.0), np.nextafter(t, 1.0),
+                            [0.0, 0.1, 0.45, 0.65, 0.9, np.nextafter(1.0, 0.0)]])
+        c = np.searchsorted(t, u, side="right")
+        x, y, both = simulator._cells(u, thresholds)
+        assert x.tolist() == np.isin(c, (1, 3)).tolist()
+        assert y.tolist() == np.isin(c, (2, 3)).tolist()
+        assert both.tolist() == (c == 3).tolist()
 
     def test_margin_whose_k_reaches_n_star_never_crosses(self):
         """k_x = 150 >= n* = 60: the x count cannot pass k_x, even on a
@@ -471,17 +520,40 @@ class TestReplicateOutcomes:
          "664a663e5032b0736f2f692f63d0db75a4cc3d071691489cbad8cd0f234048c9"),
         ("n1154", (0.065, 0.13, 0.1), 400, 7,
          "9b125ecbcb23d12c7c25a5c1dc52a3ab3c573ac7c286e44c8ee0a6fc50cfb1f5"),
+        # the benchmark's delta = 0.3 studies, at the null and the alternative
+        ("n1154", (0.05, 0.10, 0.1), 2600, 41,
+         "0ddc03af92cf00f5c57874994d95383589a27a2c4ec2a40e84cd94c0ed222c17"),
+        ("n1154", (0.065, 0.13, 0.1), 2600, 43,
+         "10c94a45176fb39c922bf7df25759da5d43c9371f6c6ac3288464888a6628233"),
+        # p00 = 0: every event has an effect
+        ("n40", (0.6, 0.75, condition_a_bounds(0.6, 0.75)[0]), 3000, 5,
+         "92e1232dcbfa89167df00efce020ef24f90ff8bee8fb0f87409c538781934630"),
     ])
     def test_outcome_arrays_pinned(self, fig_design, which, point, reps, seed,
                                    digest):
         """SHA-256 over each array's dtype string and bytes, in the order
         (m_star, code, table)."""
-        design = {"fig": fig_design, "n1154": make_design(1154, 143, 135)}[which]
+        design = {"fig": fig_design, "n1154": make_design(1154, 143, 135),
+                  "n40": make_design(40, 25, 30)}[which]
+        params = make_params(*point)
+        assert which != "n40" or params.p00 == 0.0
         h = hashlib.sha256()
-        for a in replicate_outcomes(design, make_params(*point), reps, seed):
+        for a in replicate_outcomes(design, params, reps, seed):
             h.update(a.dtype.str.encode())
             h.update(a.tobytes())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("point, seed, digest", [
+        ((0.05, 0.10, 0.1), 12,
+         "5004d1e4db38e0023ff3b7ef5a3d2cef2c872a7f0e02b783e3d6a90c57e0fbf8"),
+        ((0.10, 0.20, 0.1), 13,
+         "4fa6ae56291c142e62f5456b8a5248658a5293a0579a646e9a10fbf58e9b8c95"),
+    ], ids=["null", "alt"])
+    def test_summary_pinned(self, fig_design, point, seed, digest):
+        """SHA-256 of the repr of monte_carlo(...).to_dict() over 4000
+        replicates at fig121, at the null and at the alternative."""
+        summary = monte_carlo(fig_design, make_params(*point), 4000, seed)
+        assert hashlib.sha256(repr(summary.to_dict()).encode()).hexdigest() == digest
 
     def test_threads_compute_the_serial_outcomes(self, fig_design):
         params = make_params(0.1, 0.2, 0.1)
