@@ -69,6 +69,5 @@ from .simulator import (
     run_test,
     sample_stream,
 )
-from .cli_monitor import MonitorState, monitor_step, state_load, state_save
 
 __version__ = "0.1.0"

@@ -380,7 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "side effects: design, operating characteristics, "
                     "simulation, monitoring, post-detection inference.")
     parser.add_argument("--output", choices=("json", "csv"), default="json",
-                        help="output format for results")
+                        help="output format for results; monitor writes JSON "
+                             "lines either way")
     parser.add_argument("--quiet", action="store_true",
                         help="omit the error: or i/o error: line of a failed "
                              "run; the exit code is unchanged")

@@ -70,6 +70,15 @@ def binom_cdf(k: int, n: int, theta: float) -> float:
     return 1.0 - binom_sf(k, n, theta)
 
 
+def _check_targets(alpha_tilde: float, beta: float, theta0: float, theta1: float) -> None:
+    """A margin's input rule: alpha_tilde, beta in (0, 0.5); 0 < theta0 < theta1 < 1."""
+    for name, value in (("alpha_tilde", alpha_tilde), ("beta", beta)):
+        if not 0.0 < value < 0.5:
+            raise ValueError(f"{name} must lie in (0, 0.5), not {value!r}")
+    if not 0.0 < theta0 < theta1 < 1.0:
+        raise ValueError("need 0 < theta0 < theta1 < 1")
+
+
 @dataclass(frozen=True)
 class MarginalDesign:
     """One margin's test specification: error targets and (N*, k*)."""
@@ -82,8 +91,7 @@ class MarginalDesign:
     k_star: int
 
     def __post_init__(self):
-        if not 0 < self.theta0 < self.theta1 < 1:
-            raise ValueError("need 0 < theta0 < theta1 < 1")
+        _check_targets(self.alpha_tilde, self.beta, self.theta0, self.theta1)
         if not (self.n_star >= 1 and 0 <= self.k_star < self.n_star):
             raise ValueError("need 0 <= k_star < n_star")
 
@@ -145,11 +153,6 @@ class BivariateDesign:
     def from_dict(cls, doc: dict) -> "BivariateDesign":
         sides = _flat_fields(doc, "design document", dict.fromkeys("xy", _MARGIN_FIELDS))
         for side in "xy":
-            # the range design_marginal enforces
-            for f in ("alpha_tilde", "beta"):
-                if not 0.0 < sides[side][f] < 0.5:
-                    raise ValueError(f"design document: field '{side}.{f}' must be "
-                                     f"a number in (0, 0.5), not {sides[side][f]!r}")
             try:
                 sides[side] = MarginalDesign(**sides[side])
             except ValueError as exc:
@@ -175,8 +178,10 @@ class LatticeCounts:
     n11: int
 
     def __post_init__(self):
-        if min(self.n00, self.n10, self.n01, self.n11) < 0:
-            raise ValueError("counts must be nonnegative")
+        cells = (self.n00, self.n10, self.n01, self.n11)
+        if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) and c >= 0
+                   for c in cells):
+            raise ValueError(f"counts must be nonnegative integers, not {cells!r}")
 
     @property
     def total(self) -> int:
@@ -308,10 +313,7 @@ def design_marginal(alpha_tilde: float, beta: float, theta0: float, theta1: floa
     N upward to the smallest sample size at which some critical value meets
     both binomial constraints exactly, for at most ``_REFINE_STEPS`` steps.
     """
-    if not (0.0 < alpha_tilde < 0.5 and 0.0 < beta < 0.5):
-        raise ValueError("alpha_tilde and beta must lie in (0, 0.5)")
-    if not 0.0 < theta0 < theta1 < 1.0:
-        raise ValueError("need 0 < theta0 < theta1 < 1")
+    _check_targets(alpha_tilde, beta, theta0, theta1)
     if method not in ("approx", "exact-refine"):
         raise ValueError(f"unknown method {method!r}")
 

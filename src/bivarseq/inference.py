@@ -38,10 +38,15 @@ __all__ = [
 _SINGULAR_DET = 1e-14
 
 
-def chi2_quantile_2df(level: float) -> float:
-    """chi-square quantile with 2 degrees of freedom: -2 log(1 - level)."""
+def _check_level(level: float) -> None:
+    """The one rule for a confidence level: it lies in (0, 1)."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
+
+
+def chi2_quantile_2df(level: float) -> float:
+    """chi-square quantile with 2 degrees of freedom: -2 log(1 - level)."""
+    _check_level(level)
     return -2.0 * math.log1p(-level)
 
 
@@ -169,8 +174,7 @@ def confidence_region(est: PostTestEstimate, level: float = 0.95) -> ConfidenceR
     z_{1-(1-level)/4} normal quantile instead.  A singular Sigma_hat yields a
     degenerate (point-interval) region rather than an error.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
+    c = chi2_quantile_2df(level)
     center = np.array([est.theta_hat_x, est.theta_hat_y])
     if est.singular:
         point = ((est.theta_hat_x, est.theta_hat_x),
@@ -179,7 +183,6 @@ def confidence_region(est: PostTestEstimate, level: float = 0.95) -> ConfidenceR
                                 half_lengths=(0.0, 0.0),
                                 orientation=np.array([1.0, 0.0]),
                                 simultaneous=point, bonferroni=point)
-    c = chi2_quantile_2df(level)
     eigvals, eigvecs = np.linalg.eigh(est.sigma_hat)
     order = np.argsort(eigvals)[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
@@ -214,6 +217,7 @@ def ellipse_points(est: PostTestEstimate, level: float = 0.95,
 
 def relative_risk(est: PostTestEstimate, level: float = 0.95) -> RelativeRiskEstimate:
     """Estimated relative risk theta_x/theta_y with its delta-method interval."""
+    _check_level(level)
     if est.theta_hat_y <= 0.0:
         raise ZeroDivisionError("relative risk undefined: theta_hat_y = 0")
     gamma = est.theta_hat_x / est.theta_hat_y

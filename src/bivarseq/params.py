@@ -21,22 +21,21 @@ from .errors import InfeasibleCorrelationError
 
 __all__ = ["JointBernoulliParams", "make_params", "rho_from_p11", "condition_a_bounds"]
 
-# Slack absorbing float round-off so that parameters sitting exactly on a
-# feasibility boundary (cell probability 0) are accepted.
+# Slack in rho absorbing float round-off, so that a correlation sitting
+# exactly on a feasible end (a cell probability 0) is accepted.
 _FEAS_TOL = 1e-12
 
 
 def condition_a_bounds(theta_x: float, theta_y: float) -> tuple[float, float]:
     """Feasible closed interval [lo, hi] for the correlation given the margins
-    (the Frechet bounds on p11).
+    (the Frechet bounds on p11): :func:`make_params` and :func:`rho_from_p11`
+    refuse a rho more than 1e-12 outside it.
 
-    ``lo`` is -min(sqrt(Omega_x Omega_y), 1/sqrt(Omega_x Omega_y)): the first
-    keeps p11 >= 0 and binds when theta_x + theta_y < 1, the second keeps
-    p00 >= 0 and binds when theta_x + theta_y > 1.  ``hi`` is
-    min(sqrt(Omega_x/Omega_y), sqrt(Omega_y/Omega_x)) (keeps p10, p01 >= 0).
-    An end of size 1 (hi = 1 when theta_x = theta_y, lo = -1 when
-    theta_x + theta_y = 1) is refused by :func:`make_params`, which needs
-    |rho| < 1.
+    ``lo`` is -sqrt(Omega_x Omega_y) (p11 >= 0) when theta_x + theta_y <= 1,
+    else -1/sqrt(Omega_x Omega_y) (p00 >= 0); ``hi`` is the smaller of
+    sqrt(Omega_x/Omega_y) (p10 >= 0) and sqrt(Omega_y/Omega_x) (p01 >= 0).  An
+    end of size 1 (hi = 1 when theta_x = theta_y, lo = -1 when theta_x + theta_y
+    = 1) is refused by :func:`make_params`, which needs |rho| < 1.
     """
     ox = theta_x / (1.0 - theta_x)
     oy = theta_y / (1.0 - theta_y)
@@ -44,6 +43,24 @@ def condition_a_bounds(theta_x: float, theta_y: float) -> tuple[float, float]:
     lo = -odds if odds <= 1.0 else -1.0 / odds
     hi = min(math.sqrt(ox / oy), math.sqrt(oy / ox))
     return lo, hi
+
+
+def _check_feasible(theta_x: float, theta_y: float, rho: float) -> None:
+    """Refuse margins outside (0, 1) and a rho more than ``_FEAS_TOL`` outside
+    :func:`condition_a_bounds`, naming the cell that would go negative."""
+    if not (0.0 < theta_x < 1.0 and 0.0 < theta_y < 1.0):
+        raise ValueError("marginal probabilities must lie strictly in (0, 1)")
+    lo, hi = condition_a_bounds(theta_x, theta_y)
+    if rho < lo - _FEAS_TOL:
+        cell = "p11" if theta_x + theta_y <= 1.0 else "p00"
+    elif rho > hi + _FEAS_TOL:
+        cell = "p10" if theta_x <= theta_y else "p01"
+    else:
+        return
+    raise InfeasibleCorrelationError(
+        f"rho={rho:.6g} lies outside the feasible interval [{lo:.6g}, {hi:.6g}] of "
+        f"margins ({theta_x:.6g}, {theta_y:.6g}): cell {cell} would be negative",
+        restriction=cell)
 
 
 @dataclass(frozen=True)
@@ -74,53 +91,19 @@ class JointBernoulliParams:
 def make_params(theta_x: float, theta_y: float, rho: float) -> JointBernoulliParams:
     """Build a :class:`JointBernoulliParams`, rejecting infeasible correlations.
 
-    Raises :class:`InfeasibleCorrelationError` naming the violated restriction:
-    ``p11``, ``p10`` or ``p01`` for the three correlation bounds, ``p00`` for
-    margins so large that the no-effect cell would go negative.
+    Raises :class:`InfeasibleCorrelationError` for a rho more than 1e-12 outside
+    :func:`condition_a_bounds`, naming the cell that would go negative.
     """
-    if not (0.0 < theta_x < 1.0 and 0.0 < theta_y < 1.0):
-        raise ValueError("marginal probabilities must lie strictly in (0, 1)")
     if math.isnan(rho):
         raise ValueError("correlation rho is not a number")
     if not abs(rho) < 1.0:
         raise ValueError("correlation must satisfy |rho| < 1")
-
-    ox = theta_x / (1.0 - theta_x)
-    oy = theta_y / (1.0 - theta_y)
-    lo = -math.sqrt(ox * oy)
-    if rho < lo - _FEAS_TOL:
-        raise InfeasibleCorrelationError(
-            f"rho={rho:.6g} < -sqrt(Omega_x*Omega_y)={lo:.6g}: "
-            f"joint-cell probability p11 would be negative",
-            restriction="p11",
-        )
-    if rho > math.sqrt(ox / oy) + _FEAS_TOL:
-        raise InfeasibleCorrelationError(
-            f"rho={rho:.6g} > sqrt(Omega_x/Omega_y)={math.sqrt(ox / oy):.6g}: "
-            f"X-only cell probability p10 would be negative",
-            restriction="p10",
-        )
-    if rho > math.sqrt(oy / ox) + _FEAS_TOL:
-        raise InfeasibleCorrelationError(
-            f"rho={rho:.6g} > sqrt(Omega_y/Omega_x)={math.sqrt(oy / ox):.6g}: "
-            f"Y-only cell probability p01 would be negative",
-            restriction="p01",
-        )
-
+    _check_feasible(theta_x, theta_y, rho)
     p11 = rho * math.sqrt(theta_x * (1.0 - theta_x) * theta_y * (1.0 - theta_y)) \
         + theta_x * theta_y
     p10 = theta_x - p11
     p01 = theta_y - p11
     p00 = 1.0 - theta_x - theta_y + p11
-    # The three correlation bounds do not cover p00 >= 0, which binds when
-    # theta_x + theta_y > 1; reject that case explicitly so every cell is a
-    # probability.
-    if p00 < -_FEAS_TOL:
-        raise InfeasibleCorrelationError(
-            f"rho={rho:.6g} gives p00={p00:.6g} < 0 at margins "
-            f"({theta_x:.6g}, {theta_y:.6g})",
-            restriction="p00",
-        )
     clamp = lambda v: min(max(v, 0.0), 1.0)
     return JointBernoulliParams(
         theta_x=theta_x, theta_y=theta_y, rho=rho,
@@ -132,17 +115,9 @@ def rho_from_p11(theta_x: float, theta_y: float, p11: float) -> float:
     """Correlation implied by the joint-both-effects probability p11.
 
     rho = (p11 - theta_x theta_y) / sqrt(theta_x(1-theta_x) theta_y(1-theta_y)).
-    Round-trips with :func:`make_params` on the feasible region.
+    Round-trips with :func:`make_params`, and refuses the same correlations.
     """
-    if not (0.0 < theta_x < 1.0 and 0.0 < theta_y < 1.0):
-        raise ValueError("marginal probabilities must lie strictly in (0, 1)")
-    lo = max(0.0, theta_x + theta_y - 1.0)
-    hi = min(theta_x, theta_y)
-    if p11 < lo - _FEAS_TOL or p11 > hi + _FEAS_TOL:
-        raise ValueError(
-            f"p11={p11:.6g} incompatible with margins: must lie in "
-            f"[{lo:.6g}, {hi:.6g}]"
-        )
-    return (p11 - theta_x * theta_y) / math.sqrt(
-        theta_x * (1.0 - theta_x) * theta_y * (1.0 - theta_y)
-    )
+    rho = (p11 - theta_x * theta_y) / math.sqrt(
+        theta_x * (1.0 - theta_x) * theta_y * (1.0 - theta_y))
+    _check_feasible(theta_x, theta_y, rho)
+    return rho

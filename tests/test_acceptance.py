@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import bivarseq as bq
+from bivarseq import cli_monitor
 from conftest import TINY_DESIGNS, make_design
 from oracles import enumerate_paths
 from test_asymptotic_engine import delta_design
@@ -316,11 +317,11 @@ def test_criterion_09_property_suites(fig_design):
     params = bq.make_params(0.1, 0.2, 0.1)
     events = list(bq.sample_stream(params, 3, fig_design.n_star, stream=2))
     outcome = bq.run_test(fig_design, iter(events))
-    state = bq.MonitorState.fresh(fig_design)
+    state = cli_monitor.MonitorState.fresh(fig_design)
     for ev in events:
         if ev.seq % 13 == 0:
-            state = bq.state_load(bq.state_save(state))
-        state, _ = bq.monitor_step(state, ev)
+            state = cli_monitor.state_load(cli_monitor.state_save(state))
+        state, _ = cli_monitor.monitor_step(state, ev)
         if state.status != "open":
             break
     assert state.last_seq == outcome.m_star

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bivarseq import (
+    BivariateDesign,
     MarginalDesign,
     combine,
     condition_a_bounds,
@@ -170,8 +172,6 @@ class TestCombine:
         assert (d.n_star, d.k_lower, d.k_x, d.k_y) == (324, 42, 42, 42)
 
     def test_round_trip_dict(self):
-        from bivarseq import BivariateDesign
-
         d = combine(MarginalDesign(0.025, 0.1, 0.05, 0.1, 263, 19),
                     MarginalDesign(0.025, 0.1, 0.1, 0.2, 121, 18))
         assert BivariateDesign.from_dict(d.to_dict()) == d
@@ -179,6 +179,32 @@ class TestCombine:
         doc = d.to_dict()
         del doc["n_star"], doc["k_lower"]
         assert BivariateDesign.from_dict(doc) == d
+
+    def test_margin_rule_at_construction(self):
+        # one rule for a margin's targets: a margin that design_marginal would
+        # refuse cannot be built, so none reaches combine and then fails to reload
+        with pytest.raises(ValueError, match=r"alpha_tilde must lie in \(0, 0\.5\), not 0\.9"):
+            MarginalDesign(0.9, 0.7, 0.1, 0.2, 100, 10)
+        with pytest.raises(ValueError, match=r"beta must lie in \(0, 0\.5\), not 0\.5"):
+            MarginalDesign(0.025, 0.5, 0.1, 0.2, 100, 10)
+        with pytest.raises(ValueError, match=r"need 0 < theta0 < theta1 < 1"):
+            MarginalDesign(0.025, 0.1, 0.2, 0.2, 100, 10)
+
+
+def _targets():
+    """(alpha_tilde, beta, theta0, theta1) with theta1 - theta0 >= 0.05, which
+    keeps exact-refine's N below about 4000."""
+    return st.tuples(st.floats(1e-3, 0.499), st.floats(1e-3, 0.499), st.floats(1e-3, 0.9),
+                     st.floats(0.0, 1.0)).map(
+        lambda t: (t[0], t[1], t[2], t[2] + 0.05 + t[3] * (0.999 - 0.05 - t[2])))
+
+
+@pytest.mark.parametrize("method", ["approx", "exact-refine"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(tx=_targets(), ty=_targets())
+def test_every_designed_margin_reloads(method, tx, ty):
+    d = combine(design_marginal(*tx, method=method), design_marginal(*ty, method=method))
+    assert BivariateDesign.from_dict(d.to_dict()) == d
 
 
 class TestDecide:

@@ -8,10 +8,13 @@ from bivarseq import (
     confidence_region,
     ellipse_points,
     inverse_relative_risk,
+    make_params,
+    monte_carlo,
     post_test_estimate,
     relative_risk,
 )
 from bivarseq.inference import chi2_quantile_2df
+from conftest import make_design
 
 # the two worked 117-subject tables used throughout
 TABLE_A = LatticeCounts(n00=63, n10=18, n01=11, n11=25)
@@ -59,6 +62,18 @@ class TestPointEstimates:
         # M* is the table's total, so an empty table has no estimate
         with pytest.raises(ValueError, match="the table is empty"):
             post_test_estimate(LatticeCounts(0, 0, 0, 0))
+
+    @pytest.mark.parametrize("cells", [(0.5, 0, 0, 0), (1.5, 2, 0, 0), (3, 1, 0, 2.0),
+                                       (True, 0, 0, 0), ("1", 0, 0, 0), (4, -1, 0, 0)])
+    def test_counts_are_nonnegative_integers(self, cells):
+        # a fraction of a count made "the table is empty" out of (0.5, 0, 0, 0),
+        # and estimates from a table that no run can produce out of (1.5, 2, 0, 0)
+        with pytest.raises(ValueError, match="counts must be nonnegative integers"):
+            LatticeCounts(*cells)
+
+    def test_numpy_integer_counts_accepted(self):
+        counts = LatticeCounts(*np.array([63, 18, 11, 25]))
+        assert post_test_estimate(counts).to_dict() == post_test_estimate(TABLE_A).to_dict()
 
 
 class TestConfidenceRegion:
@@ -113,6 +128,21 @@ class TestConfidenceRegion:
     def test_level_domain(self, est_a):
         with pytest.raises(ValueError):
             confidence_region(est_a, 1.0)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5, math.nan])
+@pytest.mark.parametrize("call", ["confidence_region", "relative_risk",
+                                  "inverse_relative_risk", "monte_carlo"])
+def test_level_rule(est_a, call, level):
+    """One rule for a confidence level; relative_risk gave a point at level 0
+    and an upside-down interval at level -0.5."""
+    fn = {"confidence_region": lambda: confidence_region(est_a, level),
+          "relative_risk": lambda: relative_risk(est_a, level),
+          "inverse_relative_risk": lambda: inverse_relative_risk(est_a, level),
+          "monte_carlo": lambda: monte_carlo(make_design(10, 2, 2),
+                                             make_params(0.1, 0.2, 0.1), 5, 1, level=level)}
+    with pytest.raises(ValueError, match=r"^level must lie in \(0, 1\)$"):
+        fn[call]()
 
 
 class TestRelativeRisk:

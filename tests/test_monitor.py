@@ -7,20 +7,14 @@ import numpy as np
 import pytest
 
 from bivarseq import (
-    BivariateDesign,
     Event,
-    MarginalDesign,
-    MonitorState,
     MonitorStateError,
     SequencingError,
     make_params,
-    monitor_step,
     run_test,
     sample_stream,
-    state_load,
-    state_save,
 )
-from bivarseq.cli_monitor import _write_state
+from bivarseq.cli_monitor import MonitorState, _write_state, monitor_step, state_load, state_save
 from bivarseq.inference import post_test_estimate
 from bivarseq.design import LatticeCounts
 from conftest import make_design
@@ -222,10 +216,10 @@ class TestSaveLoad:
 
     @pytest.mark.parametrize("alpha_tilde", ["abc", None, True, 0.7])
     def test_design_error_targets_checked(self, alpha_tilde):
-        margin = MarginalDesign(0.025, 0.1, 0.1, 0.3, 10, 2)
-        bad = BivariateDesign(x=MarginalDesign(alpha_tilde, 0.1, 0.1, 0.3, 10, 2), y=margin)
-        with pytest.raises(MonitorStateError, match="x.alpha_tilde"):
-            state_load(state_save(MonitorState.fresh(bad)))
+        doc = state_save(MonitorState.fresh(make_design(10, 2, 2)))
+        doc["design"]["x"]["alpha_tilde"] = alpha_tilde
+        with pytest.raises(MonitorStateError, match=r"field 'x(\.|': )alpha_tilde"):
+            state_load(doc)
 
     @pytest.mark.parametrize("side, field, value", [("x", "theta0", 0.5), ("y", "k_star", 10)])
     def test_design_margin_error_names_side(self, side, field, value):

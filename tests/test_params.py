@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bivarseq import (
     InfeasibleCorrelationError,
@@ -78,12 +78,7 @@ def test_round_trip_and_cell_identities(theta_x, theta_y, frac):
     lo = max(lo, -0.999)
     hi = min(hi, 0.999)
     rho = lo + frac * (hi - lo)
-    try:
-        p = make_params(theta_x, theta_y, rho)
-    except InfeasibleCorrelationError:
-        # the p00 >= 0 restriction can bind inside [lo, hi] for large margins
-        assert theta_x + theta_y > 1.0
-        return
+    p = make_params(theta_x, theta_y, rho)
     assert sum(p.cell_probs) == pytest.approx(1.0, abs=1e-12)
     assert p.p11 + p.p10 == pytest.approx(theta_x, abs=1e-15)
     assert p.p11 + p.p01 == pytest.approx(theta_y, abs=1e-15)
@@ -112,3 +107,53 @@ def test_bounds_are_the_feasible_ends():
                     assert min(make_params(theta_x, theta_y, end).cell_probs) <= 1e-12
                 with pytest.raises(ValueError):
                     make_params(theta_x, theta_y, beyond)
+
+
+def _raw_cells(theta_x, theta_y, rho):
+    """The unclamped cells (p00, p10, p01, p11), by make_params' expressions."""
+    p11 = rho * math.sqrt(theta_x * (1.0 - theta_x) * theta_y * (1.0 - theta_y)) \
+        + theta_x * theta_y
+    return 1.0 - theta_x - theta_y + p11, theta_x - p11, theta_y - p11, p11
+
+
+_UNIT = st.floats(1e-3, 1.0 - 1e-3)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(
+    # any pair (theta_x + theta_y > 1 in half of them), equal margins, and
+    # margins summing to 1
+    margins=st.one_of(st.tuples(_UNIT, _UNIT), _UNIT.map(lambda t: (t, t)),
+                      _UNIT.map(lambda t: (t, 1.0 - t))),
+    upper=st.booleans(),
+    shift=st.sampled_from([0.0, 5e-13, -5e-13, 2e-12, -2e-12, 1e-3, -1e-3]),
+)
+def test_feasibility_rule_at_both_ends(margins, upper, shift):
+    """make_params accepts rho exactly on [lo - 1e-12, hi + 1e-12] of
+    condition_a_bounds; a refusal names the cell that goes negative past that
+    end, and an accepted rho keeps make_params' cells bit for bit and comes
+    back from rho_from_p11.  Margins stay 1e-3 inside (0, 1), where
+    rho_from_p11's cancellation costs less than 1e-12."""
+    theta_x, theta_y = margins
+    lo, hi = condition_a_bounds(theta_x, theta_y)
+    rho = (hi if upper else lo) + shift
+    assume(abs(rho) < 1.0)
+    raw = dict(zip(("p00", "p10", "p01", "p11"), _raw_cells(theta_x, theta_y, rho)))
+    try:
+        params = make_params(theta_x, theta_y, rho)
+    except InfeasibleCorrelationError as err:
+        assert not lo - 1e-12 <= rho <= hi + 1e-12
+        cell = err.restriction
+        if rho < lo:
+            assert cell == ("p11" if theta_x + theta_y <= 1.0 else "p00")
+        else:
+            assert cell == ("p10" if theta_x <= theta_y else "p01")
+        assert f"cell {cell} would be negative" in str(err)
+        if abs(shift) == 1e-3:
+            assert raw[cell] < 0.0
+        return
+    assert lo - 1e-12 <= rho <= hi + 1e-12
+    assert params.cell_probs == tuple(min(max(raw[c], 0.0), 1.0)
+                                      for c in ("p00", "p10", "p01", "p11"))
+    assert min(raw.values()) > -1e-12
+    assert rho_from_p11(theta_x, theta_y, params.p11) == pytest.approx(rho, abs=1e-12)
